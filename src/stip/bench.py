@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from . import wire
-from .model import gen_model, greedy_decode_step
+from .model import gen_model
 from .numerics import gen_permutation, to_matrix
 from .protocol import DataOwnerParty, DeveloperParty, ServerParty, _expect_ack
 from .transform import gen_permutation_set, para_trans
@@ -77,15 +77,42 @@ class _TimedServer(ServerParty):
         super().__init__()
         self.serve_seconds = []
 
-    def serve(self, frame):
+    def serve(self, *args, **kwargs):
         t0 = time.perf_counter()
-        out = super().serve(frame)
+        out = super().serve(*args, **kwargs)
         self.serve_seconds.append(time.perf_counter() - t0)
         return out
 
 
+class _TimedLink:
+    """Client link that adds up the time P3 spends in send and recv."""
+
+    def __init__(self, link):
+        self._link = link
+        self.seconds = 0.0
+
+    def send(self, frame):
+        t0 = time.perf_counter()
+        try:
+            self._link.send(frame)
+        finally:
+            self.seconds += time.perf_counter() - t0
+
+    def recv(self, timeout=None):
+        t0 = time.perf_counter()
+        try:
+            return self._link.recv(timeout=timeout)
+        finally:
+            self.seconds += time.perf_counter() - t0
+
+
 def bench_generation(params, prompt_ids, max_tokens, latency=0.0, seed=0):
-    """Token throughput with a device/communication/cloud latency split."""
+    """Token throughput with a device/communication/cloud latency split.
+
+    P3's own `generate` drives the rounds. Device time is what it spends
+    outside the link (embedding, π, π_c, argmax), cloud time is P2's `serve`,
+    and communication is the rest of the link time.
+    """
     p1 = DeveloperParty(params, session_seed=seed)
     p2 = _TimedServer()
     p3 = DataOwnerParty(params.embedding, session_seed=seed + 1)
@@ -97,32 +124,24 @@ def bench_generation(params, prompt_ids, max_tokens, latency=0.0, seed=0):
     ]
     for t in threads:
         t.start()
-    to_p2, to_p3 = p1.initialize(seed)
-    p1_link.send(to_p2)
-    _expect_ack(p1_link.recv(timeout=30.0))
-    _expect_ack(p3.handle_deploy_keys(to_p3))
+    try:
+        to_p2, to_p3 = p1.initialize(seed)
+        p1_link.send(to_p2)
+        _expect_ack(p1_link.recv(timeout=30.0))
+        _expect_ack(p3.handle_deploy_keys(to_p3))
 
-    ids = [int(t) for t in prompt_ids]
-    device_s = 0.0
-    total_t0 = time.perf_counter()
-    for _ in range(max_tokens):
-        t0 = time.perf_counter()
-        req = p3.infer_request(ids)
-        device_s += time.perf_counter() - t0
-        p3_link.send(req)
-        resp = p3_link.recv(timeout=30.0)
-        t0 = time.perf_counter()
-        o = p3.recover(resp)
-        nxt = greedy_decode_step(o)
-        device_s += time.perf_counter() - t0
-        ids.append(nxt)
-    total_s = time.perf_counter() - total_t0
-    p1_link.close()
-    p3_link.close()
-    for t in threads:
-        t.join(timeout=5.0)
+        link = _TimedLink(p3_link)
+        total_t0 = time.perf_counter()
+        p3.generate(prompt_ids, max_tokens, link, timeout=30.0)
+        total_s = time.perf_counter() - total_t0
+    finally:
+        p1_link.close()
+        p3_link.close()
+        for t in threads:
+            t.join(timeout=5.0)
     cloud_s = sum(p2.serve_seconds)
-    comm_s = max(total_s - device_s - cloud_s, 0.0)
+    device_s = max(total_s - link.seconds, 0.0)
+    comm_s = max(link.seconds - cloud_s, 0.0)
     n = max(max_tokens, 1)
     return {
         "tokens": max_tokens,

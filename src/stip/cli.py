@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import bench as bench_mod
+from . import wire
 from .container import (
     load_keys,
     load_model,
@@ -26,6 +27,7 @@ from .container import (
     save_model_json,
 )
 from .errors import (
+    AbortedGenerationError,
     CodecError,
     InvalidConfigError,
     KeyspaceTooLargeError,
@@ -246,6 +248,7 @@ def cmd_simulate(rc, args):
     if args.transcript:
         transcript.to_jsonl(args.transcript)
     local = greedy_generate(params, prompt, rc.tokens)
+    tokens = max(len(streams[0]), 1)
     results = {
         "tokens": streams[0],
         "matches_local_greedy": streams[0] == local,
@@ -254,6 +257,10 @@ def cmd_simulate(rc, args):
         "inference_messages": transcript.inference_count(),
         "wall_s": wall,
         "ms_per_token": 1e3 * wall / max(rc.tokens, 1),
+        "request_bytes_per_token": transcript.frame_bytes(wire.MsgType.INFER_REQUEST)
+        / tokens,
+        "response_bytes_per_token": transcript.frame_bytes(wire.MsgType.INFER_RESPONSE)
+        / tokens,
         "transcript_path": args.transcript or None,
     }
     _emit(rc, "simulate", results, csv_rows=[dict(results, tokens=str(results["tokens"]))])
@@ -429,7 +436,7 @@ def main(argv=None):
     except (CodecError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ProtocolError, TransportError) as exc:
+    except (ProtocolError, TransportError, AbortedGenerationError) as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     except StipError as exc:

@@ -2,7 +2,8 @@
 
 Covers post/pre-norm placement, LayerNorm/RMSNorm, ReLU/GeLU/SwiGLU feedforward,
 top-k mixture-of-experts routing, and none/causal/custom attention masks. All
-forward passes are pure functions over immutable weights.
+forward passes are pure functions over immutable weights; incremental decoding
+keeps its per-sequence state in a `KVCache` the caller owns.
 """
 
 import math
@@ -154,10 +155,14 @@ class Mask:
             raise InvalidConfigError(f"{self.kind.value} mask carries no values")
 
 
-def causal_mask_values(n):
-    """n x n matrix with 0 on/below the diagonal and -inf strictly above."""
-    m = np.zeros((n, n), dtype=DTYPE)
-    m[np.triu_indices(n, k=1)] = NEG_INF
+def causal_mask_values(n, past=0):
+    """n x (past + n) mask: row i sees columns 0..past+i (0), the rest are -inf.
+
+    past = 0 gives the square causal mask; past > 0 masks n rows appended
+    after `past` cached ones.
+    """
+    m = np.zeros((n, past + n), dtype=DTYPE)
+    m[np.triu_indices(n, k=past + 1, m=past + n)] = NEG_INF
     return m
 
 
@@ -180,12 +185,17 @@ def random_custom_mask(n, seed, block_prob=0.3):
     return Mask(MaskKind.CUSTOM, values)
 
 
-def mask_values_for(mask, n):
-    """The additive n x n mask matrix, or None when kind is none."""
+def mask_values_for(mask, n, past=0):
+    """The additive n x (past + n) mask matrix, or None when nothing is masked.
+
+    A single causal row sees every column up to itself, so it needs no mask.
+    """
     if mask.kind is MaskKind.NONE:
         return None
     if mask.kind is MaskKind.CAUSAL:
-        return causal_mask_values(n)
+        return causal_mask_values(n, past) if n > 1 else None
+    if past:
+        raise InvalidConfigError("a custom mask has a fixed size; it cannot extend a cache")
     if mask.values.shape[0] != n:
         raise InvalidDimensionError(
             f"custom mask is {mask.values.shape[0]}x{mask.values.shape[0]}, need {n}"
@@ -205,15 +215,75 @@ def embed(token_ids, table):
     return table.table[ids, :]
 
 
-def attention(x, w, mask, scale):
-    """SoftMax(QKᵀ/√k + M)·V·W_o with Q=xW_q, K=xW_k, V=xW_v."""
+class _Rows:
+    """A matrix that grows by appended rows; its buffer doubles when full."""
+
+    def __init__(self):
+        self._buf = None
+        self.n = 0
+
+    def append(self, rows):
+        """Append rows; returns a view of every row held so far."""
+        n = self.n + rows.shape[0]
+        if self._buf is None or n > self._buf.shape[0]:
+            buf = np.empty((max(n, 2 * self.n), rows.shape[1]), dtype=rows.dtype)
+            if self.n:
+                buf[: self.n] = self._buf[: self.n]
+            self._buf = buf
+        self._buf[self.n : n] = rows
+        self.n = n
+        return self._buf[:n]
+
+
+class LayerKV:
+    """K and V rows of one layer for the rows of a sequence computed so far."""
+
+    def __init__(self):
+        self._k = _Rows()
+        self._v = _Rows()
+
+    @property
+    def rows(self):
+        return self._k.n
+
+    def append(self, k, v):
+        """Add the new rows' keys and values; returns (K, V) over all rows."""
+        return self._k.append(k), self._v.append(v)
+
+
+class KVCache:
+    """Decoding state of one sequence, so later rows need not recompute earlier ones.
+
+    Causal mask: K and V per layer, which later rows never change.
+    Mask none: every output row depends on every input row, so earlier
+    outputs change as rows arrive; the cache keeps the input rows and
+    `model_forward` recomputes over all of them.
+    A forward pass that raises leaves the cache partly extended: drop it.
+    """
+
+    def __init__(self, n_layers):
+        self.rows = 0
+        self.inputs = _Rows()
+        self.layers = [LayerKV() for _ in range(n_layers)]
+
+
+def attention(x, w, mask, scale, kv=None):
+    """SoftMax(QKᵀ/√k + M)·V·W_o with Q=xW_q, K=xW_k, V=xW_v.
+
+    With a LayerKV, x holds the rows after the cached ones: K and V cover the
+    cached rows and x, Q covers x only, and kv gains x's keys and values.
+    """
     x = as_matrix(x)
     n = x.shape[0]
     q = matmul(x, w.w_q)
     k = matmul(x, w.w_k)
     v = matmul(x, w.w_v)
+    past = 0
+    if kv is not None:
+        past = kv.rows
+        k, v = kv.append(k, v)
     scores = matmul(q, k.T) / np.float32(math.sqrt(scale))
-    mv = mask_values_for(mask, n)
+    mv = mask_values_for(mask, n, past)
     if mv is not None:
         scores = scores + mv
     return matmul(matmul(softmax_rows(scores), v), w.w_o)
@@ -282,18 +352,20 @@ def _ffn_dispatch(v, w, cfg, top_k):
     return ffn_forward(v, w.ffn, cfg.ffn_kind)
 
 
-def layer_forward(x, w, cfg, mask, top_k=MOE_TOP_K, trace=None):
+def layer_forward(x, w, cfg, mask, top_k=MOE_TOP_K, trace=None, kv=None):
     """One Transformer layer in the configured placement.
 
     post: v = norm(attn(x) + x), y = norm(ffn(v) + v)
     pre:  v = attn(norm(x)) + x, y = ffn(norm(v)) + v
+
+    kv, a LayerKV, makes x the rows after the cached ones (see `attention`).
     """
     x = as_matrix(x)
     if x.shape[1] != cfg.d_model:
         raise InvalidDimensionError(f"input cols {x.shape[1]} != d_model {cfg.d_model}")
     post = cfg.norm_placement is NormPlacement.POST
     attn_in = x if post else _norm(x, w.gamma_1, w.beta_1, cfg)
-    u = attention(attn_in, w, mask, cfg.attn_scale)
+    u = attention(attn_in, w, mask, cfg.attn_scale, kv)
     if post:
         v = _norm(u + x, w.gamma_1, w.beta_1, cfg)
         ffn_in = v
@@ -317,15 +389,33 @@ def layer_forward(x, w, cfg, mask, top_k=MOE_TOP_K, trace=None):
     return y
 
 
-def model_forward(x, params, mask, top_k=MOE_TOP_K, trace=None):
-    """All layers then the softmax classifier; rows of the output sum to 1."""
+def model_forward(x, params, mask, top_k=MOE_TOP_K, trace=None, cache=None):
+    """All layers then the softmax classifier; rows of the output sum to 1.
+
+    With a KVCache, x continues the sequence the cache holds, the output
+    covers x's rows only, and the cache then holds x as well.
+    """
     cfg = params.config
     y = as_matrix(x)
-    for i, w in enumerate(params.layers):
+    new_rows = y.shape[0]
+    kvs = [None] * len(params.layers)
+    if cache is not None:
+        if len(cache.layers) != len(params.layers):
+            raise InvalidConfigError(
+                f"cache has {len(cache.layers)} layers, model {len(params.layers)}"
+            )
+        if mask.kind is MaskKind.NONE:
+            y = cache.inputs.append(y)
+        else:
+            kvs = cache.layers
+    for w, kv in zip(params.layers, kvs):
         layer_trace = {} if trace is not None else None
-        y = layer_forward(y, w, cfg, mask, top_k, layer_trace)
+        y = layer_forward(y, w, cfg, mask, top_k, layer_trace, kv)
         if trace is not None:
             trace.append(layer_trace)
+    if cache is not None:
+        cache.rows += new_rows
+        y = y[y.shape[0] - new_rows :]
     return softmax_rows(matmul(y, params.w_c))
 
 

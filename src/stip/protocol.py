@@ -6,9 +6,14 @@ P2 runs the transformed model unchanged on permuted embeddings. P3 embeds
 on-device, permutes columns with π, and un-permutes responses with π_c.
 Knowledge stays partitioned: P2 never holds key material, P3 never holds a
 per-layer permutation, P1 never sees inference traffic.
+
+Generation is incremental: P3 sends the whole prompt once (a prefill), then
+one row per generated token. P2 keeps the sequence's K′/V′ per link, so a
+decode step costs one row of wire traffic and one row of model work.
 """
 
 import json
+import logging
 import secrets
 import threading
 import time
@@ -19,12 +24,16 @@ from . import container, wire
 from .errors import (
     AbortedGenerationError,
     CodecError,
+    InvalidConfigError,
+    InvalidDimensionError,
     NotInitializedError,
     ProtocolError,
     StaleEpochError,
+    StipError,
     TransportError,
 )
 from .model import (
+    KVCache,
     MaskKind,
     MOE_TOP_K,
     embed,
@@ -37,6 +46,15 @@ from .transform import gen_permutation_set, para_trans, recover_output
 from .transport import accept, connect, inproc_pair, listen
 
 RECV_TIMEOUT = 30.0
+
+_log = logging.getLogger(__name__)
+
+# Fault -> Error frame code, first match wins; anything else is INTERNAL.
+_ERROR_CODES = (
+    (StaleEpochError, wire.ErrorCode.STALE_EPOCH),
+    (ProtocolError, wire.ErrorCode.UNSUPPORTED),
+    ((CodecError, InvalidDimensionError, InvalidConfigError), wire.ErrorCode.MALFORMED),
+)
 
 
 def _rand_session_id(seed=None):
@@ -55,14 +73,14 @@ class Transcript:
     def log(self, direction, frame):
         dims = None
         if frame.msg_type in (wire.MsgType.INFER_REQUEST, wire.MsgType.INFER_RESPONSE):
-            m = wire.decode_matrix(frame.payload)
-            dims = [int(m.shape[0]), int(m.shape[1])]
+            dims = list(wire.matrix_dims(frame.payload))
         entry = {
             "ts": time.time(),
             "direction": direction,
             "msg_type": frame.msg_type.name,
             "epoch": frame.epoch,
             "dims": dims,
+            "bytes": wire.HEADER_SIZE + len(frame.payload),
         }
         with self._lock:
             self.entries.append(entry)
@@ -71,6 +89,10 @@ class Transcript:
         return sum(
             e["msg_type"] in ("INFER_REQUEST", "INFER_RESPONSE") for e in self.entries
         )
+
+    def frame_bytes(self, msg_type):
+        """Encoded bytes of every logged frame of one message type."""
+        return sum(e["bytes"] for e in self.entries if e["msg_type"] == msg_type.name)
 
     def to_jsonl(self, path):
         with open(path, "w", encoding="utf-8") as f:
@@ -128,6 +150,18 @@ class DeveloperParty:
         return out
 
 
+class LinkCache:
+    """P2's decoding state for one link: one sequence under one deployment.
+
+    It holds only values P2 computed from permuted rows it received on this
+    link (K′/V′, or the x′ rows under mask none); never key material.
+    """
+
+    def __init__(self):
+        self.deployment = None
+        self.kv = None
+
+
 class ServerParty:
     """P2: runs the transformed model verbatim; knows no permutation."""
 
@@ -137,6 +171,7 @@ class ServerParty:
         self.model = None
         self.epoch = None
         self.active = False
+        self.deployments = 0  # ties a link's cache to the model it was built on
         self._lock = threading.RLock()
 
     def handle_deploy(self, frame):
@@ -150,6 +185,7 @@ class ServerParty:
             self.model = container.decode_model(frame.payload)
             self.epoch = frame.epoch
             self.active = True
+            self.deployments += 1
             return wire.make_ack(self.epoch, frame.session_id)
 
     def handle_rekey(self, frame):
@@ -160,8 +196,13 @@ class ServerParty:
                 self.active = False
             return wire.make_ack(frame.epoch, frame.session_id)
 
-    def serve(self, frame):
-        """InferRequest -> InferResponse at the current epoch."""
+    def serve(self, frame, cache=None):
+        """InferRequest -> InferResponse at the current epoch, one row per request row.
+
+        A prefill (start 0) replaces the link's cache; a decode step (start > 0)
+        extends it and must name exactly the rows the cache holds. Without a
+        cache (a direct call) only a prefill can be served, and nothing is kept.
+        """
         if frame.msg_type is not wire.MsgType.INFER_REQUEST:
             raise ProtocolError(f"expected INFER_REQUEST, got {frame.msg_type.name}")
         with self._lock:
@@ -173,45 +214,77 @@ class ServerParty:
                 )
             model = self.model
             epoch = self.epoch
+            deployment = self.deployments
         cfg = model.config
         if cfg.mask_kind is MaskKind.CUSTOM:
             raise ProtocolError("custom masks cannot travel over this protocol")
-        x = wire.decode_matrix(frame.payload)
+        x, start = wire.decode_infer_request(frame.payload)
+        if x.shape[0] == 0 or x.shape[1] != cfg.d_model:
+            raise InvalidDimensionError(
+                f"request is {x.shape[0]}x{x.shape[1]}, model needs n>=1 rows "
+                f"of width {cfg.d_model}"
+            )
+        kv = None
+        if start == 0:
+            if cache is not None:
+                cache.deployment = deployment
+                kv = cache.kv = KVCache(cfg.n_layers)
+        else:
+            if cache is None or cache.kv is None:
+                raise ProtocolError(f"decode step at row {start} without a prefill")
+            if cache.deployment != deployment:
+                cache.kv = None
+                raise StaleEpochError("cached rows belong to a retired deployment")
+            if start != cache.kv.rows:
+                raise ProtocolError(
+                    f"decode step at row {start}, link holds {cache.kv.rows} rows"
+                )
+            kv = cache.kv
         mask = make_mask(cfg.mask_kind, n=x.shape[0])
-        o = model_forward(x, model, mask, MOE_TOP_K)
+        try:
+            o = model_forward(x, model, mask, MOE_TOP_K, cache=kv)
+        except BaseException:
+            if cache is not None:
+                cache.kv = None
+            raise
         return wire.make_infer_response(o, epoch, frame.session_id)
 
-    def handle(self, frame):
+    def handle(self, frame, cache=None):
         if frame.msg_type is wire.MsgType.DEPLOY_MODEL:
             return self.handle_deploy(frame)
         if frame.msg_type is wire.MsgType.REKEY:
             return self.handle_rekey(frame)
         if frame.msg_type is wire.MsgType.INFER_REQUEST:
-            return self.serve(frame)
+            return self.serve(frame, cache)
         raise ProtocolError(f"server cannot handle {frame.msg_type.name}")
 
     def serve_loop(self, transport, timeout=RECV_TIMEOUT):
-        """Answer frames until the peer closes; protocol faults become Error frames."""
+        """Answer frames until the peer closes; every fault becomes an Error frame.
+
+        The link's decoding cache lives here and is dropped with the link.
+        """
+        cache = LinkCache()
         while True:
             try:
                 frame = transport.recv(timeout=timeout)
             except TransportError:
                 return
-            try:
-                reply = self.handle(frame)
-            except StaleEpochError as exc:
-                reply = wire.make_error(
-                    wire.ErrorCode.STALE_EPOCH, str(exc), frame.epoch, frame.session_id
-                )
             except CodecError as exc:
-                reply = wire.make_error(
-                    wire.ErrorCode.MALFORMED, str(exc), frame.epoch, frame.session_id
-                )
-            except ProtocolError as exc:
-                reply = wire.make_error(
-                    wire.ErrorCode.UNSUPPORTED, str(exc), frame.epoch, frame.session_id
-                )
-            transport.send(reply)
+                # The byte stream has lost its framing: report it and hang up.
+                reply = wire.make_error(wire.ErrorCode.MALFORMED, str(exc), 0, 0)
+                try:
+                    transport.send(reply)
+                except TransportError:
+                    pass
+                return
+            try:
+                reply = self.handle(frame, cache)
+            except Exception as exc:  # the connection outlives any one request
+                reply = _error_reply(exc, frame)
+            try:
+                transport.send(reply)
+            except TransportError:
+                return
 
     def state_bytes(self):
         if self.model is None:
@@ -248,13 +321,17 @@ class DataOwnerParty:
         self.epoch = epoch
         return wire.make_ack(self.epoch, frame.session_id)
 
-    def infer_request(self, token_ids):
-        """Embed on-device, permute columns by π, frame the request."""
+    def infer_request(self, token_ids, start=0):
+        """Embed on-device, permute columns by π, frame the request.
+
+        start > 0 makes a decode step: token_ids follow the `start` rows P2
+        already holds for this link.
+        """
         if self.pi is None:
             raise NotInitializedError("no shared keys deployed")
         x = embed(token_ids, self.embedding)
         return wire.make_infer_request(
-            apply_col_perm(x, self.pi), self.epoch, self.session_id
+            apply_col_perm(x, self.pi), self.epoch, self.session_id, start
         )
 
     def recover(self, frame):
@@ -282,11 +359,20 @@ class DataOwnerParty:
         transcript=None,
         timeout=RECV_TIMEOUT,
     ):
-        """Autoregressive loop: one request/response round per generated token."""
+        """Autoregressive loop: one request/response round per generated token.
+
+        The first round sends the whole prompt; each later round sends only
+        the last token, continuing the rows P2 holds for this link. A transport
+        fault or a server Error frame raises AbortedGenerationError carrying
+        the tokens generated so far.
+        """
         ids = [int(t) for t in prompt_ids]
         out = []
         for _ in range(max_tokens):
-            req = self.infer_request(ids)
+            if out:
+                req = self.infer_request(ids[-1:], start=len(ids) - 1)
+            else:
+                req = self.infer_request(ids)
             try:
                 transport.send(req)
                 if transcript is not None:
@@ -296,7 +382,10 @@ class DataOwnerParty:
                 raise AbortedGenerationError(str(exc), out) from exc
             if transcript is not None:
                 transcript.log("P2->P3", resp)
-            o = self.recover(resp)
+            try:
+                o = self.recover(resp)
+            except (ProtocolError, CodecError) as exc:
+                raise AbortedGenerationError(str(exc), out) from exc
             nxt = greedy_decode_step(o)
             ids.append(nxt)
             out.append(nxt)
@@ -308,6 +397,21 @@ class DataOwnerParty:
             out += self.pi.indices.astype("<u4").tobytes()
             out += self.pi_c.indices.astype("<u4").tobytes()
         return out
+
+
+def _error_reply(exc, frame):
+    """Error frame for a fault raised while handling `frame`."""
+    for kinds, code in _ERROR_CODES:
+        if isinstance(exc, kinds):
+            return wire.make_error(code, str(exc), frame.epoch, frame.session_id)
+    if isinstance(exc, StipError):
+        detail = str(exc)
+    else:
+        _log.exception("server fault on %s", frame.msg_type.name)
+        detail = f"internal error ({type(exc).__name__})"
+    return wire.make_error(
+        wire.ErrorCode.INTERNAL, detail, frame.epoch, frame.session_id
+    )
 
 
 def _expect_ack(frame):

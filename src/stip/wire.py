@@ -2,7 +2,9 @@
 
 Frame header (little-endian, 31 bytes): magic "STIP", version u16, msg_type u8,
 epoch u64, session_id u64, payload_len u64. The payload encoding depends on the
-message type; matrices travel as (rows u32, cols u32, f32 row-major).
+message type; matrices travel as (rows u32, cols u32, f32 row-major). An
+INFER_REQUEST that continues a sequence appends a u32 `start`: the number of
+rows the server must already hold for this link (see `make_infer_request`).
 """
 
 import struct
@@ -23,6 +25,7 @@ HEADER_SIZE = _HEADER.size  # 31
 _MATRIX_PREFIX = struct.Struct("<II")
 MATRIX_PREFIX_SIZE = _MATRIX_PREFIX.size  # 8
 
+_START_TRAILER = struct.Struct("<I")
 _ERROR_PREFIX = struct.Struct("<H")
 _REKEY_PAYLOAD = struct.Struct("<Q")
 
@@ -108,11 +111,16 @@ def encode_matrix(m):
     return _MATRIX_PREFIX.pack(a.shape[0], a.shape[1]) + a.tobytes(order="C")
 
 
-def decode_matrix(raw):
-    """Inverse of encode_matrix; float32 minimum reads back as -inf."""
+def matrix_dims(raw):
+    """(rows, cols) from the 8-byte prefix of a matrix payload, body unread."""
     if len(raw) < MATRIX_PREFIX_SIZE:
         raise CodecError("matrix payload shorter than its dims prefix")
-    rows, cols = _MATRIX_PREFIX.unpack(raw[:MATRIX_PREFIX_SIZE])
+    return _MATRIX_PREFIX.unpack(raw[:MATRIX_PREFIX_SIZE])
+
+
+def decode_matrix(raw):
+    """Inverse of encode_matrix; float32 minimum reads back as -inf."""
+    rows, cols = matrix_dims(raw)
     body = raw[MATRIX_PREFIX_SIZE:]
     if len(body) != 4 * rows * cols:
         raise CodecError(
@@ -143,8 +151,33 @@ def make_deploy_keys(keys_bytes, epoch, session_id):
     return Frame(MsgType.DEPLOY_KEYS, epoch, session_id, bytes(keys_bytes))
 
 
-def make_infer_request(x, epoch, session_id):
-    return Frame(MsgType.INFER_REQUEST, epoch, session_id, encode_matrix(x))
+def make_infer_request(x, epoch, session_id, start=0):
+    """Rows x of a sequence; start > 0 says the server already holds `start` rows.
+
+    A request with start == 0 is a prefill and its payload is the bare matrix.
+    A decode step appends start as a u32 after the matrix.
+    """
+    payload = encode_matrix(x)
+    if start:
+        payload += _START_TRAILER.pack(start)
+    return Frame(MsgType.INFER_REQUEST, epoch, session_id, payload)
+
+
+def decode_infer_request(raw):
+    """INFER_REQUEST payload -> (x, start); the inverse of make_infer_request."""
+    rows, cols = matrix_dims(raw)
+    end = MATRIX_PREFIX_SIZE + 4 * rows * cols
+    trailer = raw[end:]
+    if not trailer:
+        return decode_matrix(raw), 0
+    if len(trailer) != _START_TRAILER.size:
+        raise CodecError(
+            f"request trailer is {len(trailer)} bytes, expected 0 or {_START_TRAILER.size}"
+        )
+    (start,) = _START_TRAILER.unpack(trailer)
+    if start == 0:
+        raise CodecError("a prefill request carries no start trailer")
+    return decode_matrix(raw[:end]), start
 
 
 def make_infer_response(o, epoch, session_id):

@@ -219,6 +219,20 @@ def test_simulate_matches_local_greedy(tmp_path, capsys):
     assert set(first) >= {"ts", "direction", "msg_type", "epoch"}
 
 
+def test_simulate_reports_wire_bytes_per_token(capsys):
+    code, report, _ = run_cli(
+        capsys, ["simulate", "--tokens", "4", "--prompt", "0,1,2", "--seed", "6"]
+    )
+    assert code == 0
+    res = report["results"]
+    head = 31 + 8
+    d, s = 64, 100  # the default desk config
+    assert res["request_bytes_per_token"] == (
+        head + 4 * 3 * d + 3 * (head + 4 * d + 4)
+    ) / 4
+    assert res["response_bytes_per_token"] == (head + 4 * 3 * s + 3 * (head + 4 * s)) / 4
+
+
 def test_simulate_socket_transport(capsys):
     code, report, _ = run_cli(
         capsys,

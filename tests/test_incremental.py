@@ -1,0 +1,367 @@
+"""Incremental decoding: P2's per-link K′/V′ cache and P3's one-row decode steps."""
+
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import stip.model
+from conftest import make_config
+from stip import bench, wire
+from stip.errors import (
+    AbortedGenerationError,
+    CodecError,
+    InvalidConfigError,
+    ProtocolError,
+)
+from stip.model import (
+    FfnKind,
+    KVCache,
+    MaskKind,
+    NormKind,
+    NormPlacement,
+    embed,
+    gen_model,
+    greedy_generate,
+    make_mask,
+    model_forward,
+)
+from stip.numerics import apply_col_perm
+from stip.protocol import (
+    DataOwnerParty,
+    DeveloperParty,
+    ServerParty,
+    Transcript,
+    run_simulation,
+)
+from stip.transform import gen_permutation_set, para_trans
+from stip.transport import accept, connect, inproc_pair, listen
+
+F32 = np.float32
+
+
+def deployed(params, seed=1):
+    p1 = DeveloperParty(params, session_seed=seed)
+    p2 = ServerParty()
+    p3 = DataOwnerParty(params.embedding, session_seed=seed + 1)
+    to_p2, to_p3 = p1.initialize(seed)
+    p2.handle_deploy(to_p2)
+    p3.handle_deploy_keys(to_p3)
+    return p1, p2, p3
+
+
+class Served:
+    """A client link whose far end P2 serves on a thread; joined on exit."""
+
+    def __init__(self, p2):
+        self.link, far = inproc_pair()
+        self._t = threading.Thread(target=p2.serve_loop, args=(far,), kwargs={"timeout": 5})
+        self._t.start()
+
+    def ask(self, frame):
+        self.link.send(frame)
+        return self.link.recv(timeout=5)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.link.close()
+        self._t.join(timeout=5)
+        assert not self._t.is_alive()
+
+
+def error_code(frame):
+    assert frame.msg_type is wire.MsgType.ERROR
+    return wire.decode_error_payload(frame.payload)[0]
+
+
+# --- engine: cached chunks equal one full forward ------------------------------
+
+
+def _chunks(n, cuts):
+    bounds = sorted({0, n, *(c % n for c in cuts)})
+    return list(zip(bounds, bounds[1:]))
+
+
+@given(
+    norm_kind=st.sampled_from(list(NormKind)),
+    placement=st.sampled_from(list(NormPlacement)),
+    ffn_kind=st.sampled_from(list(FfnKind)),
+    n_experts=st.sampled_from([0, 4]),
+    mask_kind=st.sampled_from([MaskKind.CAUSAL, MaskKind.NONE]),
+    n=st.integers(1, 12),
+    cuts=st.lists(st.integers(1, 64), max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_cached_chunks_equal_full_forward_plain_and_permuted(
+    norm_kind, placement, ffn_kind, n_experts, mask_kind, n, cuts, seed
+):
+    cfg = make_config(
+        norm_kind=norm_kind,
+        norm_placement=placement,
+        ffn_kind=ffn_kind,
+        n_experts=n_experts,
+        mask_kind=mask_kind,
+    )
+    params = gen_model(cfg, seed)
+    pset = gen_permutation_set(cfg, seed + 1)
+    x = np.random.default_rng(seed).normal(size=(n, cfg.d_model)).astype(F32)
+    mask = make_mask(mask_kind, n=n)
+    for model, rows in (
+        (params, x),
+        (para_trans(params, pset).params, apply_col_perm(x, pset.pi)),
+    ):
+        cache = KVCache(len(model.layers))
+        for a, b in _chunks(n, cuts):
+            # under mask none a row's output depends on the rows after it, so
+            # the reference is a full forward over the rows sent so far
+            full = model_forward(rows[:b], model, mask)[a:b]
+            cached = model_forward(rows[a:b], model, mask, cache=cache)
+            assert cached.shape == full.shape
+            assert np.max(np.abs(cached - full)) <= 1e-5
+            assert np.array_equal(np.argmax(cached, axis=1), np.argmax(full, axis=1))
+        assert cache.rows == n
+
+
+def test_cache_rejects_custom_mask_and_wrong_depth():
+    params = gen_model(make_config(), 0)
+    x = np.ones((2, params.config.d_model), F32)
+    cache = KVCache(len(params.layers))
+    model_forward(x[:1], params, make_mask(MaskKind.CAUSAL), cache=cache)
+    custom = make_mask(MaskKind.CUSTOM, values=np.zeros((1, 1), F32))
+    with pytest.raises(InvalidConfigError):
+        model_forward(x[1:], params, custom, cache=cache)
+    with pytest.raises(InvalidConfigError):
+        model_forward(x, params, make_mask(MaskKind.CAUSAL), cache=KVCache(1))
+
+
+# --- wire: the start trailer ------------------------------------------------------
+
+
+def test_step_request_round_trip_and_prefill_payload_unchanged():
+    x = np.arange(6, dtype=F32).reshape(2, 3)
+    prefill = wire.make_infer_request(x, 1, 2)
+    assert prefill.payload == wire.encode_matrix(x)
+    got, start = wire.decode_infer_request(prefill.payload)
+    assert start == 0 and np.array_equal(got, x)
+    step = wire.make_infer_request(x[:1], 1, 2, start=7)
+    assert len(step.payload) == len(wire.encode_matrix(x[:1])) + 4
+    got, start = wire.decode_infer_request(step.payload)
+    assert start == 7 and np.array_equal(got, x[:1])
+
+
+@pytest.mark.parametrize("trailer", [b"\x01", b"\x00\x00\x00\x00", b"\x01" * 5])
+def test_step_request_bad_trailer_is_codec_error(trailer):
+    raw = wire.encode_matrix(np.ones((1, 2), F32)) + trailer
+    with pytest.raises(CodecError):
+        wire.decode_infer_request(raw)
+
+
+def test_transcript_reads_dims_of_step_frames():
+    transcript = Transcript()
+    step = wire.make_infer_request(np.ones((1, 8), F32), 1, 2, start=5)
+    transcript.log("P3->P2", step)
+    assert transcript.entries[0]["dims"] == [1, 8]
+    assert transcript.entries[0]["bytes"] == wire.HEADER_SIZE + len(step.payload)
+
+
+# --- server rules ---------------------------------------------------------------
+
+
+def test_steps_reply_one_row_matching_local_forward():
+    params = gen_model(make_config(vocab_size=20), 3)
+    _, p2, p3 = deployed(params, seed=4)
+    ids = [1, 5, 2, 7, 3]
+    local = model_forward(
+        embed(ids, params.embedding), params, make_mask(params.config.mask_kind)
+    )
+    with Served(p2) as s:
+        o = p3.recover(s.ask(p3.infer_request(ids[:3])))
+        assert o.shape == (3, 20)
+        for i in (3, 4):
+            o = p3.recover(s.ask(p3.infer_request(ids[i : i + 1], start=i)))
+            assert o.shape == (1, 20)
+            assert np.max(np.abs(o[0] - local[i])) <= 1e-5
+
+
+def test_step_with_wrong_start_gets_error_frame_and_cache_survives():
+    params = gen_model(make_config(), 5)
+    _, p2, p3 = deployed(params, seed=6)
+    with Served(p2) as s:
+        s.ask(p3.infer_request([0, 1]))
+        for bad in (1, 3):
+            reply = s.ask(p3.infer_request([2], start=bad))
+            assert error_code(reply) == wire.ErrorCode.UNSUPPORTED
+        assert s.ask(p3.infer_request([2], start=2)).msg_type is wire.MsgType.INFER_RESPONSE
+
+
+def test_step_without_prefill_is_refused():
+    params = gen_model(make_config(), 7)
+    _, p2, p3 = deployed(params, seed=8)
+    step = p3.infer_request([3], start=2)
+    with pytest.raises(ProtocolError):
+        p2.serve(step)
+    with Served(p2) as s:
+        assert error_code(s.ask(step)) == wire.ErrorCode.UNSUPPORTED
+
+
+def test_prefill_resets_the_link_cache():
+    params = gen_model(make_config(), 9)
+    _, p2, p3 = deployed(params, seed=10)
+    with Served(p2) as s:
+        s.ask(p3.infer_request([0, 1, 2, 3]))
+        s.ask(p3.infer_request([4]))
+        assert error_code(s.ask(p3.infer_request([5], start=5))) == wire.ErrorCode.UNSUPPORTED
+        assert s.ask(p3.infer_request([5], start=1)).msg_type is wire.MsgType.INFER_RESPONSE
+
+
+@pytest.mark.parametrize("same_epoch", [True, False])
+def test_step_after_rekey_and_redeploy_is_never_served_from_old_cache(same_epoch):
+    params = gen_model(make_config(), 11)
+    p1, p2, p3 = deployed(params, seed=12)
+    with Served(p2) as p1_link, Served(p2) as p3_link:
+        p3_link.ask(p3.infer_request([0, 1, 2]))
+        if same_epoch:
+            # a new key set deployed under the epoch number the cache was built at
+            to_p2, to_p3 = DeveloperParty(params, session_seed=13).initialize(14)
+            assert to_p2.epoch == p2.epoch
+        else:
+            to_p2, to_p3 = p1.rekey(14)
+        notice = wire.make_rekey(to_p2.epoch, p2.epoch, p1.session_id)
+        assert p1_link.ask(notice).msg_type is wire.MsgType.ACK
+        assert p1_link.ask(to_p2).msg_type is wire.MsgType.ACK
+        p3.handle_deploy_keys(to_p3)
+        step = p3.infer_request([3], start=3)
+        assert error_code(p3_link.ask(step)) == wire.ErrorCode.STALE_EPOCH
+        # the refused cache is gone: the same step cannot succeed later
+        assert error_code(p3_link.ask(step)) == wire.ErrorCode.UNSUPPORTED
+        ids = [0, 1, 2, 3]
+        o = p3.recover(p3_link.ask(p3.infer_request(ids)))
+        local = model_forward(
+            embed(ids, params.embedding), params, make_mask(params.config.mask_kind)
+        )
+        assert np.max(np.abs(o - local)) <= 1e-4
+
+
+# --- robustness: no request kills a connection ---------------------------------------
+
+
+def test_wrong_width_and_empty_requests_are_malformed_and_link_survives():
+    params = gen_model(make_config(d_model=8), 15)
+    _, p2, p3 = deployed(params, seed=16)
+    with Served(p2) as s:
+        for rows, cols in ((2, 5), (0, 8)):
+            bad = wire.make_infer_request(np.ones((rows, cols), F32), p2.epoch, 1)
+            assert error_code(s.ask(bad)) == wire.ErrorCode.MALFORMED
+        assert s.ask(p3.infer_request([0, 1])).msg_type is wire.MsgType.INFER_RESPONSE
+
+
+def test_unexpected_fault_is_internal_error_and_link_survives(monkeypatch):
+    params = gen_model(make_config(n_layers=2), 17)
+    _, p2, p3 = deployed(params, seed=18)
+    real = stip.model.attention
+    calls = []
+
+    def flaky(*args, **kwargs):
+        # calls 1-2: the prefill's two layers; call 4: the step's second layer,
+        # after the first layer has already extended its K′/V′
+        calls.append(1)
+        if len(calls) == 4:
+            raise RuntimeError("boom")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stip.model, "attention", flaky)
+    with Served(p2) as s:
+        s.ask(p3.infer_request([0, 1]))
+        reply = s.ask(p3.infer_request([2], start=2))
+        assert error_code(reply) == wire.ErrorCode.INTERNAL
+        # the half-extended cache was dropped, not reused
+        assert error_code(s.ask(p3.infer_request([2], start=2))) == wire.ErrorCode.UNSUPPORTED
+        assert s.ask(p3.infer_request([0, 1, 2])).msg_type is wire.MsgType.INFER_RESPONSE
+
+
+def test_unframeable_bytes_get_an_error_frame_then_hang_up():
+    p2 = ServerParty()
+    srv = listen()
+    try:
+        near = connect(*srv.getsockname()[:2])
+        far = accept(srv, timeout=5)
+    finally:
+        srv.close()
+    t = threading.Thread(target=p2.serve_loop, args=(far,), kwargs={"timeout": 5})
+    t.start()
+    try:
+        near._sock.sendall(b"JUNK" + bytes(wire.HEADER_SIZE - 4))
+        assert error_code(near.recv(timeout=5)) == wire.ErrorCode.MALFORMED
+        t.join(timeout=5)
+        assert not t.is_alive()
+    finally:
+        far.close()
+        near.close()
+
+
+def test_server_error_mid_stream_keeps_partial_tokens():
+    params = gen_model(make_config(), 19)
+    p1, p2, p3 = deployed(params, seed=20)
+
+    class RekeyAfter:
+        """Retires the epoch at P2 once `n` replies have arrived."""
+
+        def __init__(self, inner, n):
+            self.inner, self.n = inner, n
+
+        def send(self, frame):
+            self.inner.send(frame)
+
+        def recv(self, timeout=None):
+            frame = self.inner.recv(timeout=timeout)
+            self.n -= 1
+            if self.n == 0:
+                p1.rekey(21)
+                p2.handle_rekey(p1.rekey_notice())
+            return frame
+
+    with Served(p2) as s:
+        with pytest.raises(AbortedGenerationError) as err:
+            p3.generate([0, 1], 8, RekeyAfter(s.link, 3))
+    assert err.value.tokens == greedy_generate(params, [0, 1], 3)
+
+
+# --- end to end ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["inproc", "socket"])
+def test_mask_none_generation_matches_local_greedy(kind):
+    params = gen_model(make_config(mask_kind=MaskKind.NONE), 22)
+    prompts = [[0, 1], [5, 3, 2]]
+    streams, _ = run_simulation(params, prompts, 5, transport_kind=kind, seed=23)
+    assert streams == [greedy_generate(params, p, 5) for p in prompts]
+
+
+def test_decode_wire_bytes_follow_rows_in_equals_rows_out():
+    cfg = make_config(d_model=8, vocab_size=12)
+    params = gen_model(cfg, 24)
+    prompt, new = [0, 1, 2], 4
+    _, transcript = run_simulation(params, [prompt], new, seed=25)
+    head = wire.HEADER_SIZE + wire.MATRIX_PREFIX_SIZE
+    d, s = cfg.d_model, cfg.vocab_size
+    assert transcript.frame_bytes(wire.MsgType.INFER_REQUEST) == (
+        head + 4 * len(prompt) * d + (new - 1) * (head + 4 * d + 4)
+    )
+    assert transcript.frame_bytes(wire.MsgType.INFER_RESPONSE) == (
+        head + 4 * len(prompt) * s + (new - 1) * (head + 4 * s)
+    )
+
+
+def test_generation_bench_split_adds_up():
+    params = gen_model(make_config(), 26)
+    rep = bench.bench_generation(params, [0, 1], max_tokens=3, seed=27)
+    parts = sum(
+        rep[k]
+        for k in ("device_ms_per_token", "cloud_ms_per_token", "communication_ms_per_token")
+    )
+    assert rep["cloud_ms_per_token"] > 0
+    assert parts == pytest.approx(1e3 * rep["total_s"] / 3, rel=1e-6)
