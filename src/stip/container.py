@@ -4,7 +4,8 @@ Model container (little-endian): magic "STIP", version u16, config block
 (n_layers u32, d_model u32, d_ff u32, vocab_size u32, attn_scale f32,
 norm_kind u8, norm_placement u8, ffn_kind u8, mask_kind u8, n_experts u32),
 then tensors until EOF as (name_len u16, name, rank u8, dims u32 each,
-payload f32 row-major).
+payload f32 row-major). A full model holds an `embedding` tensor; the served
+form that P1 deploys to P2 omits it, since only P3 embeds tokens.
 
 Keys file: magic "STPK", version u16, epoch u64, count u32, then per
 permutation (role u8, layer u16, dim u32, indices u32 each). Role tags:
@@ -12,7 +13,7 @@ permutation (role u8, layer u16, dim u32, indices u32 each). Role tags:
 layers), 5=pi_v, 6=pi_t.
 
 -inf mask sentinels are stored as the most-negative finite float32 and
-restored on read.
+restored on read (`numerics.sanitize_neg_inf` / `restore_neg_inf`).
 """
 
 import json
@@ -32,7 +33,7 @@ from .model import (
     NormKind,
     NormPlacement,
 )
-from .numerics import DTYPE, NEG_INF, Permutation
+from .numerics import DTYPE, Permutation, restore_neg_inf, sanitize_neg_inf
 from .transform import LayerPerms, PermutationSet
 
 MODEL_MAGIC = b"STIP"
@@ -45,8 +46,6 @@ _NAME_LEN = struct.Struct("<H")
 _RANK = struct.Struct("<B")
 _KEYS_HEAD = struct.Struct("<4sHQI")
 _KEY_ENTRY = struct.Struct("<BHI")
-
-_F32_MIN = float(np.finfo(np.float32).min)
 
 _NORM_CODES = {NormKind.LAYERNORM: 0, NormKind.RMSNORM: 1}
 _PLACEMENT_CODES = {NormPlacement.POST: 0, NormPlacement.PRE: 1}
@@ -69,22 +68,11 @@ def _decode_enum(codes, raw, what):
     raise CodecError(f"unknown {what} code {raw}")
 
 
-def _sanitize(arr):
-    """Replace -inf with the finite float32 sentinel for storage."""
-    a = np.ascontiguousarray(arr, dtype=DTYPE)
-    if np.any(np.isneginf(a)):
-        a = np.where(np.isneginf(a), np.float32(_F32_MIN), a)
-    return a
-
-
-def _restore(arr):
-    """Undo _sanitize: the float32 minimum reads back as -inf."""
-    return np.where(arr == np.float32(_F32_MIN), np.float32(NEG_INF), arr)
-
-
 def _tensor_map(params):
-    """Deterministic name -> array mapping for a model."""
-    out = {"embedding": params.embedding.table}
+    """Deterministic name -> array mapping for a model; no embedding when served."""
+    out = {}
+    if params.embedding is not None:
+        out["embedding"] = params.embedding.table
     for i, w in enumerate(params.layers):
         p = f"layers.{i}"
         out[f"{p}.W_q"] = w.w_q
@@ -124,7 +112,7 @@ def _assemble_model(cfg, tensors):
     tensors = dict(tensors)
     use_beta = cfg.norm_kind is NormKind.LAYERNORM
     has_w3 = cfg.ffn_kind is FfnKind.SWIGLU
-    embedding = _take(tensors, "embedding")
+    embedding = tensors.pop("embedding", None)
     layers = []
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
@@ -162,7 +150,9 @@ def _assemble_model(cfg, tensors):
     w_c = _take(tensors, "W_c")
     if tensors:
         raise CodecError(f"unexpected tensors in model file: {sorted(tensors)}")
-    params = ModelParams(cfg, EmbeddingTable(embedding), layers, w_c)
+    if embedding is not None:
+        embedding = EmbeddingTable(embedding)
+    params = ModelParams(cfg, embedding, layers, w_c)
     _check_shapes(params)
     return params
 
@@ -170,7 +160,9 @@ def _assemble_model(cfg, tensors):
 def _check_shapes(params):
     cfg = params.config
     d, m, s = cfg.d_model, cfg.d_ff, cfg.vocab_size
-    checks = [(params.embedding.table, (s, d), "embedding"), (params.w_c, (d, s), "W_c")]
+    checks = [(params.w_c, (d, s), "W_c")]
+    if params.embedding is not None:
+        checks.append((params.embedding.table, (s, d), "embedding"))
     for i, w in enumerate(params.layers):
         for nm, t, shape in (
             ("W_q", w.w_q, (d, d)),
@@ -226,23 +218,40 @@ def config_from_bytes(raw):
     )
 
 
+def _tensor_head(name, shape):
+    """(name_len u16, name, rank u8, dims u32 each) of one tensor."""
+    nm = name.encode("utf-8")
+    return struct.pack(f"<H{len(nm)}sB{len(shape)}I", len(nm), nm, len(shape), *shape)
+
+
 def encode_model(params):
-    """Model -> container bytes."""
-    parts = [_HEAD.pack(MODEL_MAGIC, FORMAT_VERSION), config_to_bytes(params.config)]
-    for name, tensor in _tensor_map(params).items():
-        data = _sanitize(tensor)
-        nm = name.encode("utf-8")
-        parts.append(_NAME_LEN.pack(len(nm)))
-        parts.append(nm)
-        parts.append(_RANK.pack(data.ndim))
-        parts.append(struct.pack(f"<{data.ndim}I", *data.shape))
-        parts.append(data.tobytes(order="C"))
-    return b"".join(parts)
+    """Model -> container bytes, as a bytearray.
+
+    The container is sized first, then each tensor is written straight into
+    it: one copy per tensor, with no intermediate bytes objects.
+    """
+    tensors = [
+        (_tensor_head(name, np.shape(t)), np.asarray(t))
+        for name, t in _tensor_map(params).items()
+    ]
+    start = _HEAD.size + _CONFIG.size
+    buf = bytearray(start + sum(len(head) + 4 * t.size for head, t in tensors))
+    buf[:start] = _HEAD.pack(MODEL_MAGIC, FORMAT_VERSION) + config_to_bytes(params.config)
+    off = start
+    for head, t in tensors:
+        buf[off : off + len(head)] = head
+        off += len(head)
+        dst = np.frombuffer(buf, dtype="<f4", count=t.size, offset=off)
+        dst.reshape(t.shape)[...] = sanitize_neg_inf(t)
+        off += 4 * t.size
+    return buf
 
 
 class _Reader:
+    """Reads a bytes-like object through a memoryview: taking a field copies nothing."""
+
     def __init__(self, raw):
-        self.raw = raw
+        self.raw = memoryview(raw).cast("B")
         self.off = 0
 
     def take(self, n, what):
@@ -268,15 +277,19 @@ def decode_model(raw):
     tensors = {}
     while not r.done():
         (name_len,) = _NAME_LEN.unpack(r.take(_NAME_LEN.size, "tensor name length"))
-        name = r.take(name_len, "tensor name").decode("utf-8")
+        try:
+            name = str(r.take(name_len, "tensor name"), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"tensor name is not UTF-8: {exc}") from None
         (rank,) = _RANK.unpack(r.take(_RANK.size, "tensor rank"))
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, "tensor dims"))
         count = int(np.prod(dims, dtype=np.int64)) if rank else 1
         payload = r.take(4 * count, f"tensor {name!r} payload")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(DTYPE)
         if name in tensors:
             raise CodecError(f"duplicate tensor {name!r}")
-        tensors[name] = _restore(arr)
+        # astype is the one copy: the model must not hold on to the container
+        arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(DTYPE)
+        tensors[name] = restore_neg_inf(arr)
     return _assemble_model(cfg, tensors)
 
 
@@ -295,7 +308,7 @@ def model_to_json(params):
     cfg = params.config
     tensors = {}
     for name, tensor in _tensor_map(params).items():
-        data = _sanitize(tensor)
+        data = sanitize_neg_inf(np.asarray(tensor, dtype=DTYPE))
         tensors[name] = {
             "dims": list(data.shape),
             "data": [float(v) for v in data.reshape(-1)],
@@ -339,7 +352,7 @@ def model_from_json(doc):
             mask_kind=MaskKind(c["mask_kind"]),
         )
         tensors = {
-            name: _restore(
+            name: restore_neg_inf(
                 np.asarray(t["data"], dtype=DTYPE).reshape(t["dims"])
             )
             for name, t in doc["tensors"].items()

@@ -130,7 +130,7 @@ class EmbeddingTable:
 @dataclass
 class ModelParams:
     config: ModelConfig
-    embedding: EmbeddingTable
+    embedding: EmbeddingTable | None  # None in the served form P2 holds
     layers: list
     w_c: np.ndarray
 
@@ -428,21 +428,23 @@ def greedy_decode_step(o):
 
 
 def greedy_generate(params, prompt_ids, max_tokens, top_k=MOE_TOP_K):
-    """Local greedy decoding loop, re-embedding the full sequence each round."""
+    """Local greedy decoding: one prefill, then one row per token through a KVCache.
+
+    The same `model_forward` steps P2 takes, without the permutations.
+    """
     cfg = params.config
     if cfg.mask_kind is MaskKind.CUSTOM:
         raise InvalidConfigError(
             "generation needs a none/causal mask; custom masks have fixed size"
         )
-    ids = [int(t) for t in prompt_ids]
+    mask = make_mask(cfg.mask_kind)
+    cache = KVCache(len(params.layers))
+    new = [int(t) for t in prompt_ids]
     out = []
     for _ in range(max_tokens):
-        x = embed(ids, params.embedding)
-        mask = make_mask(cfg.mask_kind, n=len(ids))
-        o = model_forward(x, params, mask, top_k)
-        nxt = greedy_decode_step(o)
-        ids.append(nxt)
-        out.append(nxt)
+        o = model_forward(embed(new, params.embedding), params, mask, top_k, cache=cache)
+        new = [greedy_decode_step(o)]
+        out.extend(new)
     return out
 
 

@@ -12,6 +12,8 @@ from .errors import DegenerateRowError, InvalidDimensionError
 
 DTYPE = np.float32
 NEG_INF = float("-inf")
+# Serialized float32 data stores -inf as the most-negative finite float32.
+F32_MIN = float(np.finfo(np.float32).min)
 
 
 def as_matrix(x):
@@ -91,6 +93,25 @@ def to_matrix(p):
     m = np.zeros((p.dim, p.dim), dtype=DTYPE)
     m[p.indices, np.arange(p.dim)] = 1.0
     return m
+
+
+def _some_entry_at_most(a, bound):
+    """True when an entry of a is <= bound; one read pass, no temporary array."""
+    return a.size > 0 and bool(np.fmin.reduce(a, axis=None) <= bound)
+
+
+def sanitize_neg_inf(a):
+    """-inf entries become the F32_MIN sentinel; copies only when one is present."""
+    if _some_entry_at_most(a, NEG_INF):
+        return np.where(np.isneginf(a), DTYPE(F32_MIN), a)
+    return a
+
+
+def restore_neg_inf(a):
+    """Undo sanitize_neg_inf: F32_MIN reads back as -inf; copies only when present."""
+    if _some_entry_at_most(a, F32_MIN):
+        return np.where(a == DTYPE(F32_MIN), DTYPE(NEG_INF), a)
+    return a
 
 
 def apply_col_perm(x, p):

@@ -1,17 +1,19 @@
 """Three-party protocol: developer (P1), server (P2), and data owner (P3).
 
 P1 owns the original parameters and the full permutation set, deploys the
-transformed model to P2 and the shared {π, π_c} half to P3, and can re-key.
-P2 runs the transformed model unchanged on permuted embeddings. P3 embeds
-on-device, permutes columns with π, and un-permutes responses with π_c.
-Knowledge stays partitioned: P2 never holds key material, P3 never holds a
-per-layer permutation, P1 never sees inference traffic.
+transformed layers and classifier to P2 and the shared {π, π_c} half to P3,
+and can re-key. P2 runs the transformed model unchanged on permuted
+embeddings. P3 embeds on-device, permutes columns with π, and un-permutes
+responses with π_c. Knowledge stays partitioned: P2 never holds key material
+or the embedding table, P3 never holds a per-layer permutation, P1 never sees
+inference traffic.
 
 Generation is incremental: P3 sends the whole prompt once (a prefill), then
 one row per generated token. P2 keeps the sequence's K′/V′ per link, so a
 decode step costs one row of wire traffic and one row of model work.
 """
 
+import dataclasses
 import json
 import logging
 import secrets
@@ -125,8 +127,11 @@ class DeveloperParty:
 
     def _deploy_messages(self):
         transformed = para_trans(self.params, self.pset, epoch=self.epoch)
+        # P2 gets no embedding table: with E it could match each permuted row
+        # to its token and so recover the prompt and π (row_fingerprint_attack).
+        served = dataclasses.replace(transformed.params, embedding=None)
         to_p2 = wire.make_deploy_model(
-            container.encode_model(transformed.params), self.epoch, self.session_id
+            container.encode_model(served), self.epoch, self.session_id
         )
         to_p3 = wire.make_deploy_keys(
             container.encode_keys(self.pset, self.epoch, shared_only=True),
@@ -163,7 +168,7 @@ class LinkCache:
 
 
 class ServerParty:
-    """P2: runs the transformed model verbatim; knows no permutation."""
+    """P2: runs the transformed model verbatim; knows no permutation and no embedding."""
 
     role = "Server"
 
@@ -182,7 +187,10 @@ class ServerParty:
                 raise StaleEpochError(
                     f"deploy epoch {frame.epoch} does not advance {self.epoch}"
                 )
-            self.model = container.decode_model(frame.payload)
+            model = container.decode_model(frame.payload)
+            if model.embedding is not None:
+                raise ProtocolError("a deployed model must not carry the embedding table")
+            self.model = model
             self.epoch = frame.epoch
             self.active = True
             self.deployments += 1

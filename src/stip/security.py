@@ -1,8 +1,9 @@
 """Attack toolkit and protection metrics.
 
 Distance correlation (bias-corrected sample estimator), factorial keyspace
-accounting, brute-force and column-matching key recovery, the
-parameter-resistance demonstration, and the unauthorized-use demonstration.
+accounting, brute-force and column-matching key recovery, row fingerprinting
+against a known embedding table, the parameter-resistance demonstration, and
+the unauthorized-use demonstration.
 """
 
 import itertools
@@ -209,6 +210,31 @@ def kpa_column_match(x_plain, x_perm, tol=0.0):
             )
     groups = sorted({tuple(int(k) for k in m) for m in matches if m.size > 1})
     return KpaResult(KpaOutcome.AMBIGUOUS, groups=[list(g) for g in groups])
+
+
+def row_fingerprint_attack(table, x_perm):
+    """Recover the tokens and π from permuted rows x′ = E[ids]·π, given the table E.
+
+    A column permutation keeps each row's multiset of values, so a row's
+    sorted values name its token whenever E has distinct rows. With the tokens
+    known, E[ids] and x′ are a known-plaintext pair for `kpa_column_match`.
+    This is why P2 must never hold E. Returns (token ids, KpaResult); an id
+    is -1 where no row of E matches, and then the result is FAILED.
+    """
+    e = _obs_matrix(table).astype(np.float32)
+    x = _obs_matrix(x_perm).astype(np.float32)
+    if e.shape[1] != x.shape[1]:
+        raise InvalidDimensionError(f"widths differ: {e.shape[1]} vs {x.shape[1]}")
+    by_fingerprint = {}
+    for token, row in enumerate(np.sort(e, axis=1)):
+        by_fingerprint.setdefault(row.tobytes(), token)
+    ids = np.array(
+        [by_fingerprint.get(row.tobytes(), -1) for row in np.sort(x, axis=1)],
+        dtype=np.int64,
+    )
+    if np.any(ids < 0):
+        return ids, KpaResult(KpaOutcome.FAILED)
+    return ids, kpa_column_match(e[ids], x)
 
 
 def _recovery_entry(attempt, truth):

@@ -3,20 +3,44 @@
 Two implementations: an in-process queue pair for tests/simulation and a
 TCP byte stream framed by the header's payload length. Both can inject a
 fixed per-message delay to model network latency.
+
+Neither copies a large payload on its way through: the TCP sender hands the
+header and the payload to one `sendmsg` call, the receiver reads the payload
+into one buffer, and the in-process channel passes the payload object itself.
 """
 
 import queue
 import socket
 import time
 
-from .errors import TransportError
-from .wire import HEADER_SIZE, decode_frame, decode_header, encode_frame
+from .errors import CodecError, TransportError
+from .wire import (
+    HEADER_SIZE,
+    Frame,
+    decode_header,
+    encode_frame,
+    encode_header,
+    frame_from_parts,
+)
 
 _CLOSED = object()
 
+# Largest payload a peer may declare. The receiver allocates the whole payload
+# before reading it, so an unchecked length would let a peer demand any amount
+# of memory; the largest deploy measured is 121.6 MB.
+MAX_PAYLOAD = 512 * 2**20
+
+# Frames at least this large are sent as header and payload buffers in one
+# sendmsg; smaller ones are joined first, which costs less than the buffer list.
+_GATHER_MIN = 64 * 2**10
+
 
 class InProcTransport:
-    """One endpoint of an in-process channel; frames still round-trip the codec."""
+    """One endpoint of an in-process channel.
+
+    The header round-trips the codec; the payload object is handed over as is,
+    so a sender must not change a payload after sending it.
+    """
 
     def __init__(self, send_q, recv_q, latency=0.0):
         self._send_q = send_q
@@ -29,16 +53,16 @@ class InProcTransport:
             raise TransportError("send on closed transport")
         if self.latency:
             time.sleep(self.latency)
-        self._send_q.put(encode_frame(frame))
+        self._send_q.put((encode_header(frame), frame.payload))
 
     def recv(self, timeout=None):
         try:
-            raw = self._recv_q.get(timeout=timeout)
+            item = self._recv_q.get(timeout=timeout)
         except queue.Empty:
             raise TransportError("recv timed out") from None
-        if raw is _CLOSED:
+        if item is _CLOSED:
             raise TransportError("channel closed by peer")
-        return decode_frame(raw)
+        return frame_from_parts(*item)
 
     def close(self):
         if not self._closed:
@@ -67,30 +91,50 @@ class SocketTransport:
         if self.latency:
             time.sleep(self.latency)
         try:
-            self._sock.sendall(encode_frame(frame))
+            if len(frame.payload) < _GATHER_MIN:
+                self._sock.sendall(encode_frame(frame))
+            else:
+                self._send_parts(encode_header(frame), frame.payload)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
 
+    def _send_parts(self, *parts):
+        """sendall over several buffers without joining them."""
+        views = [memoryview(p).cast("B") for p in parts]
+        while views:
+            sent = self._sock.sendmsg(views)
+            while views and sent >= len(views[0]):
+                sent -= len(views.pop(0))
+            if views:
+                views[0] = views[0][sent:]
+
     def _read_exact(self, n, what):
-        buf = bytearray()
-        while len(buf) < n:
+        buf = bytearray(n)
+        view = memoryview(buf)
+        got = 0
+        while got < n:
             try:
-                chunk = self._sock.recv(n - len(buf))
+                k = self._sock.recv_into(view[got:])
             except socket.timeout:
                 raise TransportError("recv timed out") from None
             except OSError as exc:
                 raise TransportError(f"recv failed: {exc}") from exc
-            if not chunk:
+            if not k:
                 raise TransportError(f"channel closed while reading {what}")
-            buf.extend(chunk)
-        return bytes(buf)
+            got += k
+        return buf
 
     def recv(self, timeout=None):
+        """Next frame; a header declaring more than MAX_PAYLOAD raises CodecError."""
         self._sock.settimeout(timeout)
         header = self._read_exact(HEADER_SIZE, "frame header")
-        _, _, _, payload_len = decode_header(header)
+        msg_type, epoch, session_id, payload_len = decode_header(header)
+        if payload_len > MAX_PAYLOAD:
+            raise CodecError(
+                f"declared payload of {payload_len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
+            )
         payload = self._read_exact(payload_len, "frame payload") if payload_len else b""
-        return decode_frame(header + payload)
+        return Frame(msg_type, epoch, session_id, payload)
 
     def close(self):
         try:

@@ -14,7 +14,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import CodecError
-from .numerics import DTYPE, NEG_INF
+from .numerics import DTYPE, restore_neg_inf, sanitize_neg_inf
 
 WIRE_MAGIC = b"STIP"
 WIRE_VERSION = 1
@@ -28,8 +28,6 @@ MATRIX_PREFIX_SIZE = _MATRIX_PREFIX.size  # 8
 _START_TRAILER = struct.Struct("<I")
 _ERROR_PREFIX = struct.Struct("<H")
 _REKEY_PAYLOAD = struct.Struct("<Q")
-
-_F32_MIN = float(np.finfo(np.float32).min)
 
 
 class MsgType(IntEnum):
@@ -51,25 +49,29 @@ class ErrorCode(IntEnum):
 
 @dataclass
 class Frame:
+    """One message. The payload is any bytes-like object (bytes or bytearray)."""
+
     msg_type: MsgType
     epoch: int
     session_id: int
     payload: bytes = field(default=b"", repr=False)
 
 
+def encode_header(frame):
+    """The 31 header bytes of a frame; its payload follows them on the wire."""
+    return _HEADER.pack(
+        WIRE_MAGIC,
+        WIRE_VERSION,
+        int(frame.msg_type),
+        frame.epoch,
+        frame.session_id,
+        len(frame.payload),
+    )
+
+
 def encode_frame(frame):
     """Frame -> header + payload bytes."""
-    return (
-        _HEADER.pack(
-            WIRE_MAGIC,
-            WIRE_VERSION,
-            int(frame.msg_type),
-            frame.epoch,
-            frame.session_id,
-            len(frame.payload),
-        )
-        + frame.payload
-    )
+    return encode_header(frame) + frame.payload
 
 
 def decode_header(raw):
@@ -88,17 +90,21 @@ def decode_header(raw):
     return msg_type, epoch, session_id, payload_len
 
 
-def decode_frame(raw):
-    """Full frame bytes -> Frame; length must match the header exactly."""
-    if len(raw) < HEADER_SIZE:
-        raise CodecError(f"frame shorter than header: {len(raw)} bytes")
-    msg_type, epoch, session_id, payload_len = decode_header(raw[:HEADER_SIZE])
-    payload = raw[HEADER_SIZE:]
+def frame_from_parts(header, payload):
+    """Header bytes and the payload object -> Frame; the length must match exactly."""
+    msg_type, epoch, session_id, payload_len = decode_header(header)
     if len(payload) != payload_len:
         raise CodecError(
             f"payload length {len(payload)} != declared {payload_len}"
         )
-    return Frame(msg_type, epoch, session_id, bytes(payload))
+    return Frame(msg_type, epoch, session_id, payload)
+
+
+def decode_frame(raw):
+    """Full frame bytes -> Frame; length must match the header exactly."""
+    if len(raw) < HEADER_SIZE:
+        raise CodecError(f"frame shorter than header: {len(raw)} bytes")
+    return frame_from_parts(raw[:HEADER_SIZE], bytes(raw[HEADER_SIZE:]))
 
 
 def encode_matrix(m):
@@ -106,8 +112,7 @@ def encode_matrix(m):
     a = np.ascontiguousarray(m, dtype=DTYPE)
     if a.ndim != 2:
         raise CodecError(f"wire matrices are 2-D, got ndim={a.ndim}")
-    if np.any(np.isneginf(a)):
-        a = np.where(np.isneginf(a), np.float32(_F32_MIN), a)
+    a = sanitize_neg_inf(a)
     return _MATRIX_PREFIX.pack(a.shape[0], a.shape[1]) + a.tobytes(order="C")
 
 
@@ -119,15 +124,17 @@ def matrix_dims(raw):
 
 
 def decode_matrix(raw):
-    """Inverse of encode_matrix; float32 minimum reads back as -inf."""
+    """Inverse of encode_matrix; float32 minimum reads back as -inf.
+
+    The result is a view of `raw`; it is a copy only on a big-endian host or
+    when the payload holds the sentinel.
+    """
     rows, cols = matrix_dims(raw)
-    body = raw[MATRIX_PREFIX_SIZE:]
-    if len(body) != 4 * rows * cols:
-        raise CodecError(
-            f"matrix payload is {len(body)} bytes, expected {4 * rows * cols}"
-        )
-    a = np.frombuffer(body, dtype="<f4").reshape(rows, cols).astype(DTYPE)
-    return np.where(a == np.float32(_F32_MIN), np.float32(NEG_INF), a)
+    body = len(raw) - MATRIX_PREFIX_SIZE
+    if body != 4 * rows * cols:
+        raise CodecError(f"matrix payload is {body} bytes, expected {4 * rows * cols}")
+    a = np.frombuffer(raw, dtype="<f4", count=rows * cols, offset=MATRIX_PREFIX_SIZE)
+    return restore_neg_inf(a.reshape(rows, cols).astype(DTYPE, copy=False))
 
 
 def encode_error_payload(code, detail):
@@ -144,7 +151,8 @@ def decode_error_payload(raw):
 
 
 def make_deploy_model(model_bytes, epoch, session_id):
-    return Frame(MsgType.DEPLOY_MODEL, epoch, session_id, bytes(model_bytes))
+    """The container travels as given: a deploy's buffer is never copied here."""
+    return Frame(MsgType.DEPLOY_MODEL, epoch, session_id, model_bytes)
 
 
 def make_deploy_keys(keys_bytes, epoch, session_id):
@@ -177,7 +185,7 @@ def decode_infer_request(raw):
     (start,) = _START_TRAILER.unpack(trailer)
     if start == 0:
         raise CodecError("a prefill request carries no start trailer")
-    return decode_matrix(raw[:end]), start
+    return decode_matrix(memoryview(raw)[:end]), start
 
 
 def make_infer_response(o, epoch, session_id):

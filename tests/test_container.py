@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from stip.container import (
     MODEL_MAGIC,
     ROLE_PI,
     ROLE_PI_C,
+    _tensor_map,
+    config_to_bytes,
     decode_keys,
     decode_model,
     encode_keys,
@@ -63,6 +66,43 @@ def test_model_binary_round_trip(name):
     cfg = make_config(**VARIANT_CONFIGS[name])
     params = gen_model(cfg, 1)
     params_equal(params, decode_model(encode_model(params)))
+
+
+def reference_encoding(params):
+    """The container written field by field from the JSON mirror: an independent oracle."""
+    parts = [struct.pack("<4sH", MODEL_MAGIC, FORMAT_VERSION), config_to_bytes(params.config)]
+    for name, t in model_to_json(params)["tensors"].items():
+        nm = name.encode("utf-8")
+        dims = t["dims"]
+        parts.append(struct.pack(f"<H{len(nm)}sB{len(dims)}I", len(nm), nm, len(dims), *dims))
+        parts.append(np.asarray(t["data"], dtype="<f4").tobytes())
+    return b"".join(parts)
+
+
+def with_neg_inf(params):
+    """The model with -inf written into a few tensors: what the sentinel is for."""
+    params.w_c[0, 1] = -np.inf
+    params.layers[0].w_q[2, 3] = -np.inf
+    params.layers[-1].gamma_2[0] = -np.inf
+    return params
+
+
+@pytest.mark.parametrize("served", [False, True], ids=["full", "served"])
+@pytest.mark.parametrize("name", sorted(VARIANT_CONFIGS))
+def test_model_encoding_is_the_format_and_decodes_bit_identical(name, served):
+    params = with_neg_inf(gen_model(make_config(**VARIANT_CONFIGS[name]), 11))
+    if served:
+        params = replace(params, embedding=None)
+    blob = encode_model(params)
+    assert blob == reference_encoding(params)
+    again = decode_model(blob)
+    assert (again.embedding is None) == served
+    want, got = _tensor_map(params), _tensor_map(again)
+    assert list(got) == list(want)
+    for key, tensor in want.items():
+        assert got[key].dtype == F32
+        assert got[key].tobytes() == np.asarray(tensor, dtype=F32).tobytes(), key
+    assert np.isneginf(again.w_c[0, 1]) and np.isneginf(again.layers[0].w_q[2, 3])
 
 
 def test_model_file_round_trip(tmp_path):

@@ -126,6 +126,44 @@ def test_cached_chunks_equal_full_forward_plain_and_permuted(
         assert cache.rows == n
 
 
+def full_recompute_generate(params, prompt_ids, max_tokens):
+    """Reference decoder: every round re-embeds and recomputes the whole sequence."""
+    ids = [int(t) for t in prompt_ids]
+    out = []
+    for _ in range(max_tokens):
+        x = embed(ids, params.embedding)
+        o = model_forward(x, params, make_mask(params.config.mask_kind, n=len(ids)))
+        ids.append(int(np.argmax(o[-1])))
+        out.append(ids[-1])
+    return out
+
+
+@given(
+    norm_kind=st.sampled_from(list(NormKind)),
+    placement=st.sampled_from(list(NormPlacement)),
+    ffn_kind=st.sampled_from(list(FfnKind)),
+    n_experts=st.sampled_from([0, 4]),
+    mask_kind=st.sampled_from([MaskKind.CAUSAL, MaskKind.NONE]),
+    prompt=st.lists(st.integers(0, 11), min_size=1, max_size=6),
+    max_tokens=st.integers(0, 10),
+    seed=st.integers(0, 2**16),
+)
+def test_greedy_generate_equals_full_recompute(
+    norm_kind, placement, ffn_kind, n_experts, mask_kind, prompt, max_tokens, seed
+):
+    cfg = make_config(
+        norm_kind=norm_kind,
+        norm_placement=placement,
+        ffn_kind=ffn_kind,
+        n_experts=n_experts,
+        mask_kind=mask_kind,
+    )
+    params = gen_model(cfg, seed)
+    assert greedy_generate(params, prompt, max_tokens) == full_recompute_generate(
+        params, prompt, max_tokens
+    )
+
+
 def test_cache_rejects_custom_mask_and_wrong_depth():
     params = gen_model(make_config(), 0)
     x = np.ones((2, params.config.d_model), F32)

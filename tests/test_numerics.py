@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from stip.errors import DegenerateRowError, InvalidDimensionError
 from stip.numerics import (
+    F32_MIN,
     Permutation,
     apply_col_perm,
     apply_row_perm,
@@ -21,7 +22,9 @@ from stip.numerics import (
     layernorm,
     matmul,
     relu,
+    restore_neg_inf,
     rmsnorm,
+    sanitize_neg_inf,
     sigmoid,
     softmax_rows,
     to_matrix,
@@ -333,3 +336,29 @@ def test_outputs_are_float32():
         rmsnorm(x, np.ones(3, dtype=F32)),
     ):
         assert out.dtype == F32
+
+
+# --- -inf sentinel codec -----------------------------------------------------------
+
+
+def test_sentinel_codec_copies_nothing_without_a_sentinel():
+    x = randm((3, 4), 90)
+    assert sanitize_neg_inf(x) is x
+    assert restore_neg_inf(x) is x
+    empty = np.zeros((0, 4), F32)
+    assert sanitize_neg_inf(empty) is empty and restore_neg_inf(empty) is empty
+
+
+def test_sentinel_codec_maps_only_the_sentinel_and_leaves_its_input():
+    x = randm((2, 3), 91)
+    x[0, 1] = -np.inf
+    x[1, 2] = np.nan
+    before = x.copy()
+    stored = sanitize_neg_inf(x)
+    assert np.array_equal(x, before, equal_nan=True)
+    assert stored.dtype == F32 and stored[0, 1] == F32_MIN
+    assert not np.any(np.isneginf(stored))
+    back = restore_neg_inf(stored)
+    assert back is not stored and np.isneginf(back[0, 1])
+    assert np.array_equal(back, x, equal_nan=True)
+    assert stored[0, 1] == F32_MIN

@@ -2,6 +2,7 @@
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,7 +52,8 @@ def test_initialize_identity_hook_sends_original_bytes():
     params = desk_params(2)
     p1 = DeveloperParty(params, session_seed=0)
     to_p2, _ = p1.initialize(3, identity=True)
-    assert to_p2.payload == container.encode_model(params)
+    # the served form: every original tensor except the embedding table
+    assert to_p2.payload == container.encode_model(replace(params, embedding=None))
 
 
 def test_initialize_messages_share_epoch():
@@ -359,6 +361,24 @@ def test_state_partition():
         assert key_bytes(lp.pi2) not in p3_state
         for p3i in lp.pi3s:
             assert key_bytes(p3i) not in p3_state
+
+
+def test_server_never_holds_a_row_of_the_embedding_table():
+    params = desk_params(51, d_model=16, vocab_size=20)
+    _, p2, _ = deployed_parties(params, seed=52)
+    assert p2.model.embedding is None
+    p2_state = p2.state_bytes()
+    for row in params.embedding.table:
+        assert row.astype("<f4").tobytes() not in p2_state
+
+
+def test_server_refuses_a_deploy_carrying_the_embedding_table():
+    params = desk_params(53)
+    p2 = ServerParty()
+    full = wire.make_deploy_model(container.encode_model(params), 1, 1)
+    with pytest.raises(ProtocolError):
+        p2.handle_deploy(full)
+    assert p2.model is None
 
 
 # --- full simulation -----------------------------------------------------------------

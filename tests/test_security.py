@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config
+from stip import wire
 from stip.errors import (
     InsufficientSamplesError,
     InvalidDimensionError,
@@ -13,6 +14,7 @@ from stip.errors import (
 )
 from stip.model import gen_model
 from stip.numerics import apply_col_perm, gen_permutation
+from stip.protocol import DataOwnerParty, DeveloperParty
 from stip.security import (
     KpaOutcome,
     bfa_exhaustive,
@@ -22,6 +24,7 @@ from stip.security import (
     keyspace_log_size,
     kpa_column_match,
     kpa_parameter_resistance_demo,
+    row_fingerprint_attack,
     unauthorized_use_demo,
 )
 from stip.transform import gen_permutation_set, para_trans
@@ -332,6 +335,30 @@ def test_kpa_tolerance_recovers_noisy_channel():
     assert kpa_column_match(x, noisy).outcome is KpaOutcome.FAILED
     res = kpa_column_match(x, noisy, tol=1e-4)
     assert res.outcome is KpaOutcome.RECOVERED and res.permutation == pi
+
+
+# --- row fingerprinting --------------------------------------------------------------
+
+
+def test_row_fingerprint_recovers_tokens_and_pi_from_a_request_given_e():
+    params = gen_model(make_config(d_model=16, vocab_size=40), 45)
+    p1 = DeveloperParty(params, session_seed=46)
+    p3 = DataOwnerParty(params.embedding, session_seed=47)
+    p3.handle_deploy_keys(p1.initialize(48)[1])
+    ids = [5, 0, 33, 5, 17, 39, 2, 21]
+    x_perm = wire.decode_matrix(p3.infer_request(ids).payload)
+    got, res = row_fingerprint_attack(params.embedding.table, x_perm)
+    assert got.tolist() == ids
+    assert res.outcome is KpaOutcome.RECOVERED
+    assert res.permutation == p1.pset.pi
+
+
+def test_row_fingerprint_without_a_matching_row_fails():
+    table = randm((10, 6), 49)
+    x_perm = apply_col_perm(np.vstack([table[3], randm((1, 6), 50)]), gen_permutation(6, 51))
+    got, res = row_fingerprint_attack(table, x_perm)
+    assert got.tolist() == [3, -1]
+    assert res.outcome is KpaOutcome.FAILED
 
 
 # --- parameter resistance ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from stip.model import (
 from stip.numerics import (
     Permutation,
     apply_col_perm,
+    apply_row_perm,
     apply_vec_perm,
     gen_permutation,
     identity_perm,
@@ -25,6 +26,7 @@ from stip.numerics import (
 from stip.transform import (
     LayerPerms,
     PermutationSet,
+    _two_sided,
     gen_permutation_set,
     inverse_set,
     para_trans,
@@ -174,6 +176,25 @@ def test_transform_layer_dim_mismatch():
     lp = LayerPerms(pi1=identity_perm(3), pi2=identity_perm(4), pi3s=(identity_perm(6),))
     with pytest.raises(InvalidDimensionError):
         transform_layer(params.layers[0], identity_perm(4), lp, cfg)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (4, 6), (33, 7), (64, 256)])
+def test_two_sided_take_equals_row_then_column_gather(rows, cols):
+    w = randm((rows, cols), rows + cols)
+    w[0, -1] = -np.inf
+    left, right = gen_permutation(rows, cols), gen_permutation(cols, rows)
+    got = _two_sided(w, left, right)
+    want = apply_col_perm(apply_row_perm(w, left), right)
+    assert got.flags.c_contiguous and got.dtype == F32
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_two_sided_checks_both_dims():
+    w = randm((4, 6), 3)
+    with pytest.raises(InvalidDimensionError):
+        _two_sided(w, identity_perm(6), identity_perm(6))
+    with pytest.raises(InvalidDimensionError):
+        _two_sided(w, identity_perm(4), identity_perm(4))
 
 
 # --- classifier / projection -------------------------------------------------

@@ -1,5 +1,7 @@
 """In-process and socket transports carrying wire frames."""
 
+import socket
+import struct
 import threading
 import time
 
@@ -7,8 +9,17 @@ import numpy as np
 import pytest
 
 from stip import transport as tp
-from stip.errors import TransportError
-from stip.wire import Frame, MsgType, encode_matrix
+from stip.errors import CodecError, TransportError
+from stip.protocol import ServerParty
+from stip.wire import (
+    HEADER_SIZE,
+    ErrorCode,
+    Frame,
+    MsgType,
+    decode_error_payload,
+    encode_frame,
+    encode_matrix,
+)
 
 
 def frame(payload=b"hello", epoch=1):
@@ -149,3 +160,107 @@ def test_transports_deliver_identical_frames():
     srv.close()
     client.close()
     assert via_inproc == received == frames
+
+
+# --- large frames: no copy on the way, nothing lost -----------------------------
+
+
+BIG = np.random.default_rng(7).integers(0, 256, 8 * 2**20, dtype=np.uint8).tobytes()
+
+
+def test_inproc_eight_megabyte_frame_intact():
+    a, b = tp.inproc_pair()
+    a.send(frame(BIG))
+    got = b.recv(timeout=5)
+    assert got == frame(BIG)
+
+
+def socket_pair():
+    """A SocketTransport and the raw socket at the other end of its stream.
+
+    With a timeout set, as on any link that has received, a large send goes
+    out in several partial sendmsg calls.
+    """
+    s1, s2 = socket.socketpair()
+    s1.settimeout(5)
+    return tp.SocketTransport(s1), s2
+
+
+def test_socket_eight_megabyte_frame_intact():
+    near, raw = socket_pair()
+    far = tp.SocketTransport(raw)
+    t = threading.Thread(target=near.send, args=(frame(BIG),))
+    t.start()
+    got = far.recv(timeout=5)
+    t.join(timeout=5)
+    assert not t.is_alive()
+    near.close()
+    far.close()
+    assert got == frame(BIG)
+
+
+def test_socket_frame_from_a_peer_writing_small_chunks():
+    near, raw = socket_pair()
+    data = encode_frame(frame(BIG))
+
+    def trickle():
+        for i in range(0, len(data), 4093):
+            raw.sendall(data[i : i + 4093])
+
+    t = threading.Thread(target=trickle)
+    t.start()
+    got = near.recv(timeout=5)
+    t.join(timeout=5)
+    assert not t.is_alive()
+    near.close()
+    raw.close()
+    assert got == frame(BIG)
+
+
+# --- faults: a peer's bytes never hang or exhaust the receiver ---------------------
+
+
+def header(payload_len):
+    return encode_frame(frame(b""))[: HEADER_SIZE - 8] + struct.pack("<Q", payload_len)
+
+
+def test_oversize_declared_length_is_a_codec_error():
+    near, raw = socket_pair()
+    raw.sendall(header(tp.MAX_PAYLOAD + 1))
+    with pytest.raises(CodecError):
+        near.recv(timeout=5)
+    near.close()
+    raw.close()
+
+
+def test_oversize_declared_length_gets_malformed_then_hang_up():
+    link, raw = socket_pair()
+    t = threading.Thread(target=ServerParty().serve_loop, args=(link,), kwargs={"timeout": 5})
+    t.start()
+    raw.sendall(header(2**63))
+    peer = tp.SocketTransport(raw)
+    reply = peer.recv(timeout=5)
+    t.join(timeout=5)
+    assert not t.is_alive()
+    link.close()
+    assert reply.msg_type is MsgType.ERROR
+    assert decode_error_payload(reply.payload)[0] == ErrorCode.MALFORMED
+    with pytest.raises(TransportError):
+        peer.recv(timeout=5)
+    peer.close()
+
+
+@pytest.mark.parametrize(
+    "sent",
+    [
+        pytest.param(header(100)[:10], id="truncated-header"),
+        pytest.param(header(100) + bytes(40), id="closed-mid-payload"),
+    ],
+)
+def test_peer_closing_inside_a_frame_raises_transport_error(sent):
+    near, raw = socket_pair()
+    raw.sendall(sent)
+    raw.close()
+    with pytest.raises(TransportError):
+        near.recv(timeout=5)
+    near.close()
