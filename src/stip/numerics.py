@@ -115,11 +115,15 @@ def restore_neg_inf(a):
 
 
 def apply_col_perm(x, p):
-    """x·π by column indexing: out[i, j] = x[i, indices[j]]."""
+    """x·π by column indexing: out[i, j] = x[i, indices[j]].
+
+    np.take returns a C-contiguous array, which the codecs write out without
+    another copy; x[:, indices] would be strided.
+    """
     x = as_matrix(x)
     if x.shape[1] != p.dim:
         raise InvalidDimensionError(f"cols {x.shape[1]} != perm dim {p.dim}")
-    return x[:, p.indices]
+    return np.take(x, p.indices, axis=1)
 
 
 def apply_row_perm(x, p):

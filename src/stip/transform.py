@@ -28,7 +28,6 @@ from .numerics import (
     apply_col_perm,
     apply_row_perm,
     apply_vec_perm,
-    as_matrix,
     gen_permutation,
     identity_perm,
     inverse_perm,
@@ -115,17 +114,8 @@ def gen_permutation_set(cfg, seed, identity=False):
 
 
 def _two_sided(w, left, right):
-    """leftᵀ · w · right via index movement, as one C-contiguous array.
-
-    Equal bit for bit to apply_col_perm(apply_row_perm(w, left), right), whose
-    column gather returns a strided array that serializing would copy again.
-    """
-    w = as_matrix(w)
-    if w.shape != (left.dim, right.dim):
-        raise InvalidDimensionError(
-            f"matrix {w.shape} vs perms ({left.dim}, {right.dim})"
-        )
-    return np.take(np.take(w, left.indices, axis=0), right.indices, axis=1)
+    """leftᵀ · w · right via index movement."""
+    return apply_col_perm(apply_row_perm(w, left), right)
 
 
 def _transform_ffn(fw, pi, pi3):

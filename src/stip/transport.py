@@ -18,7 +18,6 @@ from .wire import (
     HEADER_SIZE,
     Frame,
     decode_header,
-    encode_frame,
     encode_header,
     frame_from_parts,
 )
@@ -29,10 +28,6 @@ _CLOSED = object()
 # before reading it, so an unchecked length would let a peer demand any amount
 # of memory; the largest deploy measured is 121.6 MB.
 MAX_PAYLOAD = 512 * 2**20
-
-# Frames at least this large are sent as header and payload buffers in one
-# sendmsg; smaller ones are joined first, which costs less than the buffer list.
-_GATHER_MIN = 64 * 2**10
 
 
 class InProcTransport:
@@ -91,10 +86,7 @@ class SocketTransport:
         if self.latency:
             time.sleep(self.latency)
         try:
-            if len(frame.payload) < _GATHER_MIN:
-                self._sock.sendall(encode_frame(frame))
-            else:
-                self._send_parts(encode_header(frame), frame.payload)
+            self._send_parts(encode_header(frame), frame.payload)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
 

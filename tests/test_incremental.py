@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import stip.model
-from conftest import make_config
+from conftest import VARIANT_CONFIGS, make_config
 from stip import bench, wire
 from stip.errors import (
     AbortedGenerationError,
@@ -161,6 +161,26 @@ def test_greedy_generate_equals_full_recompute(
     params = gen_model(cfg, seed)
     assert greedy_generate(params, prompt, max_tokens) == full_recompute_generate(
         params, prompt, max_tokens
+    )
+
+
+@pytest.mark.parametrize("mask_kind", [MaskKind.CAUSAL, MaskKind.NONE])
+@pytest.mark.parametrize("variant", sorted(VARIANT_CONFIGS))
+def test_greedy_generate_equals_full_recompute_on_long_sequence(variant, mask_kind):
+    """A 16-token prompt and 112 new tokens on the desk model: the K/V row
+    buffers grow 16 -> 32 -> 64 -> 128, so every doubling is crossed."""
+    cfg = make_config(
+        n_layers=4,
+        d_model=64,
+        d_ff=256,
+        vocab_size=100,
+        mask_kind=mask_kind,
+        **VARIANT_CONFIGS[variant],
+    )
+    params = gen_model(cfg, 90)
+    prompt = np.random.default_rng(91).integers(0, cfg.vocab_size, size=16)
+    assert greedy_generate(params, prompt, 112) == full_recompute_generate(
+        params, prompt, 112
     )
 
 
