@@ -2,7 +2,6 @@
 
 import csv
 import statistics
-import threading
 import time
 
 import numpy as np
@@ -10,9 +9,15 @@ import numpy as np
 from . import wire
 from .model import gen_model
 from .numerics import gen_permutation, to_matrix
-from .protocol import DataOwnerParty, DeveloperParty, ServerParty, _expect_ack
+from .protocol import (
+    RECV_TIMEOUT,
+    DataOwnerParty,
+    DeveloperParty,
+    ServerParty,
+    _ServerHost,
+    deploy,
+)
 from .transform import gen_permutation_set, para_trans
-from .transport import inproc_pair
 
 
 def _median_time(fn, reps):
@@ -116,29 +121,15 @@ def bench_generation(params, prompt_ids, max_tokens, latency=0.0, seed=0):
     p1 = DeveloperParty(params, session_seed=seed)
     p2 = _TimedServer()
     p3 = DataOwnerParty(params.embedding, session_seed=seed + 1)
-    p1_link, srv_a = inproc_pair(latency)
-    p3_link, srv_b = inproc_pair(latency)
-    threads = [
-        threading.Thread(target=p2.serve_loop, args=(t,), daemon=True)
-        for t in (srv_a, srv_b)
-    ]
-    for t in threads:
-        t.start()
+    hub = _ServerHost(p2, "inproc", latency, RECV_TIMEOUT)
     try:
-        to_p2, to_p3 = p1.initialize(seed)
-        p1_link.send(to_p2)
-        _expect_ack(p1_link.recv(timeout=30.0))
-        _expect_ack(p3.handle_deploy_keys(to_p3))
-
-        link = _TimedLink(p3_link)
+        deploy(hub, p3, *p1.initialize(seed))
+        link = _TimedLink(hub.client_link("p3"))
         total_t0 = time.perf_counter()
-        p3.generate(prompt_ids, max_tokens, link, timeout=30.0)
+        p3.generate(prompt_ids, max_tokens, link)
         total_s = time.perf_counter() - total_t0
     finally:
-        p1_link.close()
-        p3_link.close()
-        for t in threads:
-            t.join(timeout=5.0)
+        hub.shutdown()
     cloud_s = sum(p2.serve_seconds)
     device_s = max(total_s - link.seconds, 0.0)
     comm_s = max(link.seconds - cloud_s, 0.0)

@@ -198,16 +198,15 @@ def cmd_genmodel(rc, args):
 def cmd_transform(rc, args):
     params = _load_any_model(args.model)
     pset = gen_permutation_set(params.config, rc.seed, identity=args.identity)
-    transformed = para_trans(params, pset, epoch=args.epoch)
-    save_model(transformed.params, args.out_model)
-    save_keys(pset, transformed.epoch, args.out_keys)
+    save_model(para_trans(params, pset), args.out_model)
+    save_keys(pset, args.epoch, args.out_keys)
     _emit(
         rc,
         "transform",
         {
             "out_model": args.out_model,
             "out_keys": args.out_keys,
-            "epoch": transformed.epoch,
+            "epoch": args.epoch,
             "permutations": pset.count(),
         },
     )
@@ -389,7 +388,7 @@ def build_parser():
     p.add_argument("--out-model", dest="out_model", required=True)
     p.add_argument("--out-keys", dest="out_keys", required=True)
     p.add_argument("--identity", action="store_true", help="identity permutations (debug)")
-    p.add_argument("--epoch", type=int, default=None)
+    p.add_argument("--epoch", type=int, default=1)
     _add_config_flags(p)
     p.set_defaults(func=cmd_transform)
 

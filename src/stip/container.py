@@ -10,7 +10,7 @@ form that P1 deploys to P2 omits it, since only P3 embeds tokens.
 Keys file: magic "STPK", version u16, epoch u64, count u32, then per
 permutation (role u8, layer u16, dim u32, indices u32 each). Role tags:
 0=pi, 1=pi_c, 2=pi1, 3=pi2, 4=pi3 (one per expert in order for mixture
-layers), 5=pi_v, 6=pi_t.
+layers); any other role is rejected.
 
 -inf mask sentinels are stored as the most-negative finite float32 and
 restored on read (`numerics.sanitize_neg_inf` / `restore_neg_inf`).
@@ -57,8 +57,6 @@ ROLE_PI_C = 1
 ROLE_PI1 = 2
 ROLE_PI2 = 3
 ROLE_PI3 = 4
-ROLE_PI_V = 5
-ROLE_PI_T = 6
 
 
 def _decode_enum(codes, raw, what):
@@ -383,10 +381,6 @@ def _key_entries(pset, shared_only):
             entries.append((ROLE_PI1, i, lp.pi1))
             entries.append((ROLE_PI2, i, lp.pi2))
             entries.extend((ROLE_PI3, i, p3) for p3 in lp.pi3s)
-        if pset.pi_v is not None:
-            entries.append((ROLE_PI_V, 0, pset.pi_v))
-        if pset.pi_t is not None:
-            entries.append((ROLE_PI_T, 0, pset.pi_t))
     return entries
 
 
@@ -408,7 +402,7 @@ def decode_keys(raw):
         raise CodecError(f"bad keys magic {magic!r}")
     if version != FORMAT_VERSION:
         raise CodecError(f"unsupported keys version {version}")
-    pi = pi_c = pi_v = pi_t = None
+    pi = pi_c = None
     triples = {}
     for _ in range(count):
         role, layer, dim = _KEY_ENTRY.unpack(r.take(_KEY_ENTRY.size, "key entry"))
@@ -422,10 +416,6 @@ def decode_keys(raw):
             pi = perm
         elif role == ROLE_PI_C:
             pi_c = perm
-        elif role == ROLE_PI_V:
-            pi_v = perm
-        elif role == ROLE_PI_T:
-            pi_t = perm
         elif role in (ROLE_PI1, ROLE_PI2, ROLE_PI3):
             slot = triples.setdefault(layer, {"pi1": None, "pi2": None, "pi3s": []})
             if role == ROLE_PI1:
@@ -450,10 +440,7 @@ def decode_keys(raw):
         )
     if per_layer and sorted(triples) != list(range(len(per_layer))):
         raise CodecError("non-contiguous layer indices in keys file")
-    pset = PermutationSet(
-        pi=pi, pi_c=pi_c, per_layer=tuple(per_layer), pi_v=pi_v, pi_t=pi_t
-    )
-    return pset, epoch
+    return PermutationSet(pi=pi, pi_c=pi_c, per_layer=tuple(per_layer)), epoch
 
 
 def save_keys(pset, epoch, path, shared_only=False):

@@ -352,7 +352,7 @@ def _ffn_dispatch(v, w, cfg, top_k):
     return ffn_forward(v, w.ffn, cfg.ffn_kind)
 
 
-def layer_forward(x, w, cfg, mask, top_k=MOE_TOP_K, trace=None, kv=None):
+def layer_forward(x, w, cfg, mask, top_k=MOE_TOP_K, kv=None):
     """One Transformer layer in the configured placement.
 
     post: v = norm(attn(x) + x), y = norm(ffn(v) + v)
@@ -373,23 +373,10 @@ def layer_forward(x, w, cfg, mask, top_k=MOE_TOP_K, trace=None, kv=None):
         v = u + x
         ffn_in = _norm(v, w.gamma_2, w.beta_2, cfg)
     z = _ffn_dispatch(ffn_in, w, cfg, top_k)
-    y = _norm(z + v, w.gamma_2, w.beta_2, cfg) if post else z + v
-    if trace is not None:
-        trace.update(
-            {
-                "Q": matmul(attn_in, w.w_q),
-                "K": matmul(attn_in, w.w_k),
-                "V": matmul(attn_in, w.w_v),
-                "u": u,
-                "v": v,
-                "z": z,
-                "y": y,
-            }
-        )
-    return y
+    return _norm(z + v, w.gamma_2, w.beta_2, cfg) if post else z + v
 
 
-def model_forward(x, params, mask, top_k=MOE_TOP_K, trace=None, cache=None):
+def model_forward(x, params, mask, top_k=MOE_TOP_K, cache=None):
     """All layers then the softmax classifier; rows of the output sum to 1.
 
     With a KVCache, x continues the sequence the cache holds, the output
@@ -409,10 +396,7 @@ def model_forward(x, params, mask, top_k=MOE_TOP_K, trace=None, cache=None):
         else:
             kvs = cache.layers
     for w, kv in zip(params.layers, kvs):
-        layer_trace = {} if trace is not None else None
-        y = layer_forward(y, w, cfg, mask, top_k, layer_trace, kv)
-        if trace is not None:
-            trace.append(layer_trace)
+        y = layer_forward(y, w, cfg, mask, top_k, kv)
     if cache is not None:
         cache.rows += new_rows
         y = y[y.shape[0] - new_rows :]

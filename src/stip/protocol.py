@@ -126,10 +126,9 @@ class DeveloperParty:
         return self.initialize(seed, identity=identity)
 
     def _deploy_messages(self):
-        transformed = para_trans(self.params, self.pset, epoch=self.epoch)
         # P2 gets no embedding table: with E it could match each permuted row
         # to its token and so recover the prompt and π (row_fingerprint_attack).
-        served = dataclasses.replace(transformed.params, embedding=None)
+        served = dataclasses.replace(para_trans(self.params, self.pset), embedding=None)
         to_p2 = wire.make_deploy_model(
             container.encode_model(served), self.epoch, self.session_id
         )
@@ -460,7 +459,7 @@ class _ServerHost:
                 target=self._serve_conn, args=(conn,), daemon=True
             )
             t.start()
-            self._threads.append(t)
+            self._threads = [old for old in self._threads if old.is_alive()] + [t]
         self.srv.close()
 
     def _serve_conn(self, conn):
@@ -488,8 +487,25 @@ class _ServerHost:
             link.close()
         if self._stop is not None:
             self._stop.set()
+            # the acceptor is the first thread; once it ends, the list stops changing
+            self._threads[0].join(timeout=self.timeout)
         for t in self._threads:
             t.join(timeout=self.timeout)
+
+
+def deploy(hub, p3, to_p2, to_p3, transcript=None, timeout=RECV_TIMEOUT):
+    """Send θ′ to P2 over a P1 link and expect its ACK, then hand {π, π_c} to P3."""
+    link = hub.client_link("p1")
+    try:
+        link.send(to_p2)
+        if transcript is not None:
+            transcript.log("P1->P2", to_p2)
+        _expect_ack(link.recv(timeout=timeout))
+    finally:
+        hub.release(link)
+    if transcript is not None:
+        transcript.log("P1->P3", to_p3)
+    _expect_ack(p3.handle_deploy_keys(to_p3))
 
 
 def run_simulation(
@@ -515,26 +531,17 @@ def run_simulation(
     p3 = DataOwnerParty(params.embedding, session_seed=seed + 1)
     transcript = Transcript()
     hub = _ServerHost(p2, transport_kind, latency, timeout, host)
-
-    def _deploy(to_p2, to_p3):
-        link = hub.client_link("p1")
-        try:
-            link.send(to_p2)
-            transcript.log("P1->P2", to_p2)
-            _expect_ack(link.recv(timeout=timeout))
-        finally:
-            hub.release(link)
-        transcript.log("P1->P3", to_p3)
-        _expect_ack(p3.handle_deploy_keys(to_p3))
-
     streams = []
     try:
-        _deploy(*p1.initialize(seed))
+        deploy(hub, p3, *p1.initialize(seed), transcript=transcript, timeout=timeout)
         p3_link = hub.client_link("p3")
         try:
             for i, prompt in enumerate(prompts):
                 if rekey_between and i == max(1, len(prompts) // 2) and i > 0:
-                    _deploy(*p1.rekey(seed + 1000 + i))
+                    deploy(
+                        hub, p3, *p1.rekey(seed + 1000 + i),
+                        transcript=transcript, timeout=timeout,
+                    )
                 streams.append(
                     p3.generate(
                         prompt, max_tokens, p3_link, transcript, timeout=timeout

@@ -255,7 +255,7 @@ def kpa_parameter_resistance_demo(params, pset, recovered_pi):
     """
     if recovered_pi != pset.pi:
         raise InvalidConfigError("demo premise: the attacker holds the shared π")
-    transformed = para_trans(params, pset).params
+    transformed = para_trans(params, pset)
     inv_pi = inverse_perm(pset.pi)
     layers = []
     for orig, tr in zip(params.layers, transformed.layers):
@@ -298,7 +298,7 @@ def unauthorized_use_demo(
     outputs with π_c); the unauthorized stream reads the served logits
     directly. Reports the fraction of positions where the two disagree.
     """
-    cfg = transformed.params.config
+    cfg = transformed.config
     legit_ids = [int(t) for t in raw_prompt_ids]
     rogue_ids = list(legit_ids)
     legit_out = []
@@ -307,7 +307,7 @@ def unauthorized_use_demo(
         x = embed(legit_ids, table)
         mask = make_mask(cfg.mask_kind, n=len(legit_ids))
         o = recover_output(
-            model_forward(apply_col_perm(x, pset.pi), transformed.params, mask, top_k),
+            model_forward(apply_col_perm(x, pset.pi), transformed, mask, top_k),
             pset.pi_c,
         )
         nxt = greedy_decode_step(o)
@@ -316,7 +316,7 @@ def unauthorized_use_demo(
 
         xr = embed(rogue_ids, table)
         mask_r = make_mask(cfg.mask_kind, n=len(rogue_ids))
-        o_r = model_forward(xr, transformed.params, mask_r, top_k)
+        o_r = model_forward(xr, transformed, mask_r, top_k)
         nxt_r = greedy_decode_step(o_r)
         rogue_ids.append(nxt_r)
         rogue_out.append(nxt_r)

@@ -7,7 +7,6 @@ function as the originals on column-permuted inputs, up to a column permutation
 of the outputs.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +27,9 @@ from .numerics import (
     apply_col_perm,
     apply_row_perm,
     apply_vec_perm,
-    gen_permutation,
     identity_perm,
     inverse_perm,
 )
-
-_EPOCH_COUNTER = itertools.count(1)
 
 
 @dataclass
@@ -57,8 +53,6 @@ class PermutationSet:
     pi: Permutation
     pi_c: Permutation
     per_layer: tuple
-    pi_v: Permutation | None = None
-    pi_t: Permutation | None = None
 
     def shared_part(self):
         """The half deployed to the data owner."""
@@ -69,27 +63,13 @@ class PermutationSet:
         return tuple(self.per_layer)
 
     def count(self):
-        n = 2 + sum(2 + len(lp.pi3s) for lp in self.per_layer)
-        n += (self.pi_v is not None) + (self.pi_t is not None)
-        return n
+        return 2 + sum(2 + len(lp.pi3s) for lp in self.per_layer)
 
     def all_perms(self):
         out = [self.pi, self.pi_c]
         for lp in self.per_layer:
             out.extend([lp.pi1, lp.pi2, *lp.pi3s])
-        if self.pi_v is not None:
-            out.append(self.pi_v)
-        if self.pi_t is not None:
-            out.append(self.pi_t)
         return out
-
-
-@dataclass
-class TransformedModel:
-    """Transformed parameters θ′; structurally identical to ModelParams."""
-
-    params: ModelParams
-    epoch: int
 
 
 def gen_permutation_set(cfg, seed, identity=False):
@@ -176,17 +156,8 @@ def transform_classifier(w_c, pi, pi_c):
     return _two_sided(w_c, pi, pi_c)
 
 
-def transform_projection(w, pi_v, pi_t):
-    """Cross-space projection: W′ = π_vᵀ W π_t, so (xπ_v)W′ = (xW)π_t."""
-    if w.shape[0] != pi_v.dim or w.shape[1] != pi_t.dim:
-        raise InvalidDimensionError(
-            f"projection {w.shape} vs perms ({pi_v.dim}, {pi_t.dim})"
-        )
-    return _two_sided(w, pi_v, pi_t)
-
-
-def para_trans(params, pset, epoch=None):
-    """Transform every layer and the classifier; the embedding table stays as is."""
+def para_trans(params, pset):
+    """θ′: every layer and the classifier transformed; the embedding table stays as is."""
     cfg = params.config
     if pset.pi.dim != cfg.d_model or pset.pi_c.dim != cfg.vocab_size:
         raise InvalidDimensionError("shared permutation dims do not match config")
@@ -198,30 +169,11 @@ def para_trans(params, pset, epoch=None):
         transform_layer(w, pset.pi, lp, cfg)
         for w, lp in zip(params.layers, pset.per_layer)
     ]
-    transformed = ModelParams(
+    return ModelParams(
         config=cfg,
         embedding=params.embedding,
         layers=layers,
         w_c=transform_classifier(params.w_c, pset.pi, pset.pi_c),
-    )
-    return TransformedModel(transformed, next(_EPOCH_COUNTER) if epoch is None else epoch)
-
-
-def inverse_set(pset):
-    """The permutation set that undoes this one slot-by-slot."""
-    return PermutationSet(
-        pi=inverse_perm(pset.pi),
-        pi_c=inverse_perm(pset.pi_c),
-        per_layer=tuple(
-            LayerPerms(
-                pi1=inverse_perm(lp.pi1),
-                pi2=inverse_perm(lp.pi2),
-                pi3s=tuple(inverse_perm(p) for p in lp.pi3s),
-            )
-            for lp in pset.per_layer
-        ),
-        pi_v=None if pset.pi_v is None else inverse_perm(pset.pi_v),
-        pi_t=None if pset.pi_t is None else inverse_perm(pset.pi_t),
     )
 
 
@@ -248,7 +200,7 @@ def verify_equivalence(params, pset, trials, tol, n=16, seed=0, top_k=MOE_TOP_K)
             mask = make_mask(cfg.mask_kind, n=n)
         o = model_forward(x, params, mask, top_k)
         o_perm = model_forward(
-            apply_col_perm(x, pset.pi), transformed.params, mask, top_k
+            apply_col_perm(x, pset.pi), transformed, mask, top_k
         )
         rec = recover_output(o_perm, pset.pi_c)
         max_diff = max(max_diff, float(np.max(np.abs(rec - o))))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import stip.model
 from stip.model import FfnKind, MaskKind, ModelConfig, NormKind, NormPlacement
+from stip.numerics import as_matrix, matmul
 
 settings.register_profile(
     "suite",
@@ -63,3 +65,68 @@ VARIANT_CONFIGS = {
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+class LayerSteps:
+    """Per-layer intermediates of `model_forward`, read by wrapping module globals.
+
+    Like an external tracer, it wraps `stip.model.layer_forward`, `attention`
+    and `_ffn_dispatch` and records their inputs and outputs; the engine
+    itself is not changed. `take()` returns one dict per layer since the last
+    call, with Q, K, V (attention input times W_q, W_k, W_v), u (attention
+    output), v (the residual stream entering the FFN sublayer), z (FFN
+    output) and y (layer output).
+    """
+
+    def __init__(self):
+        self._layers = []
+
+    def take(self):
+        layers, self._layers = self._layers, []
+        return [self._steps(t) for t in layers]
+
+    @staticmethod
+    def _steps(t):
+        w = t["w"]
+        post = t["cfg"].norm_placement is NormPlacement.POST
+        return {
+            "Q": matmul(t["attn_in"], w.w_q),
+            "K": matmul(t["attn_in"], w.w_k),
+            "V": matmul(t["attn_in"], w.w_v),
+            "u": t["u"],
+            "v": t["ffn_in"] if post else t["u"] + as_matrix(t["x"]),
+            "z": t["z"],
+            "y": t["y"],
+        }
+
+    def install(self, monkeypatch):
+        layer_forward = stip.model.layer_forward
+        attention = stip.model.attention
+        ffn_dispatch = stip.model._ffn_dispatch
+
+        def traced_layer(x, w, cfg, *args, **kwargs):
+            self._layers.append({"x": x, "w": w, "cfg": cfg})
+            y = layer_forward(x, w, cfg, *args, **kwargs)
+            self._layers[-1]["y"] = y
+            return y
+
+        def traced_attention(x, *args, **kwargs):
+            u = attention(x, *args, **kwargs)
+            self._layers[-1].update(attn_in=x, u=u)
+            return u
+
+        def traced_ffn(v, *args, **kwargs):
+            z = ffn_dispatch(v, *args, **kwargs)
+            self._layers[-1].update(ffn_in=v, z=z)
+            return z
+
+        monkeypatch.setattr(stip.model, "layer_forward", traced_layer)
+        monkeypatch.setattr(stip.model, "attention", traced_attention)
+        monkeypatch.setattr(stip.model, "_ffn_dispatch", traced_ffn)
+
+
+@pytest.fixture
+def layer_steps(monkeypatch):
+    steps = LayerSteps()
+    steps.install(monkeypatch)
+    return steps

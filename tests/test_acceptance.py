@@ -56,7 +56,7 @@ def test_criterion_01_forward_equivalence_four_variants():
             mask = make_mask(MaskKind.CAUSAL, 16)
             o = model_forward(x, params, mask)
             o_rec = recover_output(
-                model_forward(apply_col_perm(x, pset.pi), tm.params, mask), pset.pi_c
+                model_forward(apply_col_perm(x, pset.pi), tm, mask), pset.pi_c
             )
             worst = max(worst, float(np.max(np.abs(o_rec - o))))
             argmax_hits += int(np.sum(np.argmax(o_rec, axis=1) == np.argmax(o, axis=1)))
@@ -72,7 +72,7 @@ def test_criterion_01_forward_equivalence_four_variants():
     )
 
 
-def test_criterion_02_step_equivalences_with_custom_masks():
+def test_criterion_02_step_equivalences_with_custom_masks(layer_steps):
     worst = 0.0
     instances = 0
     for vi, name in enumerate(sorted(VARIANT_CONFIGS)):
@@ -88,9 +88,11 @@ def test_criterion_02_step_equivalences_with_custom_masks():
                 mask = make_mask(MaskKind.CUSTOM, n, seed=seed + 3)
             else:
                 mask = make_mask(MaskKind.CAUSAL, n)
-            plain, perm = [], []
-            o = model_forward(x, params, mask, trace=plain)
-            o_p = model_forward(apply_col_perm(x, pset.pi), tm.params, mask, trace=perm)
+            o = model_forward(x, params, mask)
+            plain = layer_steps.take()
+            o_p = model_forward(apply_col_perm(x, pset.pi), tm, mask)
+            perm = layer_steps.take()
+            assert len(plain) == len(perm) == cfg.n_layers
             for i, (pt, qt) in enumerate(zip(plain, perm)):
                 lp = pset.per_layer[i]
                 for key, p in (("Q", lp.pi1), ("K", lp.pi1), ("V", lp.pi2)):

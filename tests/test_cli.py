@@ -1,6 +1,7 @@
 """Operator CLI: subcommands, config precedence, exit codes, report bundles."""
 
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -118,6 +119,21 @@ def test_transform_emits_model_and_full_key_set(tmp_path, capsys):
     assert epoch == report["results"]["epoch"]
     assert pset == gen_permutation_set(load_model(str(m)).config, 2)
     assert (tmp_path / "t.bin").read_bytes() != m.read_bytes()
+
+
+def test_transform_epoch_comes_from_the_flag_alone(tmp_path, capsys):
+    m, k = tmp_path / "m.bin", tmp_path / "k.bin"
+    cli.main(["genmodel", str(m), "--seed", "1"])
+    seen = []
+    for flags in ([], ["--epoch", "7"], [], ["--epoch", "7"]):
+        code, report, _ = run_cli(
+            capsys,
+            ["transform", "--model", str(m), "--out-model", str(tmp_path / "t.bin"),
+             "--out-keys", str(k), *flags],
+        )
+        assert code == 0
+        seen.append((report["results"]["epoch"], load_keys(str(k))[1]))
+    assert seen == [(1, 1), (7, 7), (1, 1), (7, 7)]
 
 
 def test_identity_transform_preserves_model_bytes(tmp_path, capsys):
@@ -396,6 +412,14 @@ def test_invalid_model_dimensions_are_usage_error(tmp_path, capsys):
 # --- installed entry point -----------------------------------------------------------------
 
 
+def child_env():
+    """Environment for a child interpreter that imports this same `stip`."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_smoke(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -405,6 +429,7 @@ def test_console_script_smoke(tmp_path):
         capture_output=True,
         text=True,
         timeout=120,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "genmodel"
@@ -418,5 +443,6 @@ def test_unknown_flag_exits_two():
         capture_output=True,
         text=True,
         timeout=60,
+        env=child_env(),
     )
     assert proc.returncode == 2

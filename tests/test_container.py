@@ -270,18 +270,10 @@ def test_keys_reject_non_bijection():
         decode_keys(bytes(blob))
 
 
-def test_keys_projection_roles_round_trip():
-    from stip.numerics import gen_permutation
-    from stip.transform import PermutationSet
-
-    cfg = make_config(n_layers=1)
-    base = gen_permutation_set(cfg, 20)
-    pset = PermutationSet(
-        pi=base.pi,
-        pi_c=base.pi_c,
-        per_layer=base.per_layer,
-        pi_v=gen_permutation(6, 21),
-        pi_t=gen_permutation(4, 22),
-    )
-    decoded, _ = decode_keys(encode_keys(pset, epoch=2))
-    assert decoded.pi_v == pset.pi_v and decoded.pi_t == pset.pi_t
+@pytest.mark.parametrize("role", [5, 6, 255])
+def test_keys_reject_unknown_role(role):
+    blob = bytearray(encode_keys(gen_permutation_set(make_config(n_layers=1), 20), epoch=2))
+    # role byte of the first entry; the rest of the file stays well-formed
+    blob[struct.calcsize("<4sHQI")] = role
+    with pytest.raises(CodecError, match="unknown key role"):
+        decode_keys(bytes(blob))

@@ -112,7 +112,7 @@ def test_cached_chunks_equal_full_forward_plain_and_permuted(
     mask = make_mask(mask_kind, n=n)
     for model, rows in (
         (params, x),
-        (para_trans(params, pset).params, apply_col_perm(x, pset.pi)),
+        (para_trans(params, pset), apply_col_perm(x, pset.pi)),
     ):
         cache = KVCache(len(model.layers))
         for a, b in _chunks(n, cuts):

@@ -23,6 +23,7 @@ from stip.protocol import (
     DeveloperParty,
     ServerParty,
     Transcript,
+    _ServerHost,
     run_simulation,
 )
 from stip.transform import recover_output
@@ -429,6 +430,30 @@ def test_simulation_latency_lower_bound():
     run_simulation(params, [[0, 1]], 3, latency=0.01, seed=59)
     wall = time.perf_counter() - t0
     assert wall >= 3 * 2 * 0.01
+
+
+def test_server_host_forgets_finished_connection_threads():
+    def round_trip(link):
+        link.send(wire.make_ack(0, 0))  # P2 answers any frame, here with an Error
+        assert link.recv(timeout=5.0).msg_type is wire.MsgType.ERROR
+
+    hub = _ServerHost(ServerParty(), "socket", 0.0, 5.0)
+    try:
+        idle = threading.active_count()
+        for _ in range(4):
+            link = hub.client_link("p3")
+            round_trip(link)
+            hub.release(link)
+            deadline = time.monotonic() + 5.0
+            while threading.active_count() > idle:
+                assert time.monotonic() < deadline, "serve thread did not end"
+                time.sleep(0.01)
+        link = hub.client_link("p3")
+        round_trip(link)
+        assert len(hub._threads) <= 2  # the acceptor and the live connection
+        hub.release(link)
+    finally:
+        hub.shutdown()
 
 
 def test_transcript_jsonl(tmp_path):

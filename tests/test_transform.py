@@ -27,12 +27,10 @@ from stip.transform import (
     PermutationSet,
     _two_sided,
     gen_permutation_set,
-    inverse_set,
     para_trans,
     recover_output,
     transform_classifier,
     transform_layer,
-    transform_projection,
     verify_equivalence,
 )
 
@@ -214,27 +212,6 @@ def test_transform_classifier_hand_swap():
     assert out.tolist() == [[4.0, 3.0], [2.0, 1.0]]
 
 
-def test_transform_projection_identity():
-    w = randm((4, 4), 25)
-    assert np.array_equal(transform_projection(w, identity_perm(4), identity_perm(4)), w)
-
-
-def test_transform_projection_commutation_oracle():
-    w = randm((6, 5), 26)
-    pi_v = gen_permutation(6, 27)
-    pi_t = gen_permutation(5, 28)
-    wp = transform_projection(w, pi_v, pi_t)
-    x = randm((3, 6), 29)
-    lhs = apply_col_perm(x, pi_v) @ wp
-    rhs = apply_col_perm(x @ w, pi_t)
-    assert np.allclose(lhs, rhs, atol=1e-5)
-
-
-def test_transform_projection_hand_swap():
-    out = transform_projection(np.eye(2, dtype=F32), swap2(), identity_perm(2))
-    assert out.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-
-
 # --- para_trans ----------------------------------------------------------------
 
 
@@ -243,27 +220,17 @@ def test_para_trans_identity_set_is_bitwise_noop():
     params = gen_model(cfg, 30)
     pset = gen_permutation_set(cfg, 31, identity=True)
     tm = para_trans(params, pset)
-    for a, b in zip(params.layers, tm.params.layers):
+    for a, b in zip(params.layers, tm.layers):
         assert np.array_equal(a.w_q, b.w_q)
         assert np.array_equal(a.ffn.w1, b.ffn.w1)
-    assert np.array_equal(params.w_c, tm.params.w_c)
+    assert np.array_equal(params.w_c, tm.w_c)
 
 
 def test_para_trans_leaves_embedding_untouched():
     cfg = make_config()
     params = gen_model(cfg, 32)
     tm = para_trans(params, gen_permutation_set(cfg, 33))
-    assert tm.params.embedding is params.embedding
-
-
-def test_para_trans_epochs_monotone():
-    cfg = make_config()
-    params = gen_model(cfg, 34)
-    pset = gen_permutation_set(cfg, 35)
-    a = para_trans(params, pset)
-    b = para_trans(params, pset)
-    assert b.epoch > a.epoch
-    assert para_trans(params, pset, epoch=42).epoch == 42
+    assert tm.embedding is params.embedding
 
 
 def test_para_trans_end_to_end_equivalence():
@@ -274,7 +241,7 @@ def test_para_trans_end_to_end_equivalence():
     x = randm((16, 64), 38)
     mask = make_mask(MaskKind.CAUSAL, 16)
     reference = model_forward(x, params, mask)
-    served = model_forward(apply_col_perm(x, pset.pi), tm.params, mask)
+    served = model_forward(apply_col_perm(x, pset.pi), tm, mask)
     recovered = recover_output(served, pset.pi_c)
     assert np.max(np.abs(recovered - reference)) <= 1e-4
 
@@ -283,13 +250,24 @@ def test_para_trans_inverse_set_round_trip():
     cfg = make_config()
     params = gen_model(cfg, 39)
     pset = gen_permutation_set(cfg, 40)
-    tm = para_trans(params, pset)
-    back = para_trans(tm.params, inverse_set(pset))
-    for a, b in zip(params.layers, back.params.layers):
+    inverse = PermutationSet(
+        pi=inverse_perm(pset.pi),
+        pi_c=inverse_perm(pset.pi_c),
+        per_layer=tuple(
+            LayerPerms(
+                pi1=inverse_perm(lp.pi1),
+                pi2=inverse_perm(lp.pi2),
+                pi3s=tuple(inverse_perm(p) for p in lp.pi3s),
+            )
+            for lp in pset.per_layer
+        ),
+    )
+    back = para_trans(para_trans(params, pset), inverse)
+    for a, b in zip(params.layers, back.layers):
         assert np.array_equal(a.w_q, b.w_q)
         assert np.array_equal(a.w_o, b.w_o)
         assert np.array_equal(a.ffn.w2, b.ffn.w2)
-    assert np.array_equal(params.w_c, back.params.w_c)
+    assert np.array_equal(params.w_c, back.w_c)
 
 
 def test_transformed_model_is_structurally_plain():
@@ -298,15 +276,15 @@ def test_transformed_model_is_structurally_plain():
     cfg = make_config()
     params = gen_model(cfg, 41)
     tm = para_trans(params, gen_permutation_set(cfg, 42))
-    again = decode_model(encode_model(tm.params))
-    assert np.array_equal(again.layers[0].w_q, tm.params.layers[0].w_q)
+    again = decode_model(encode_model(tm))
+    assert np.array_equal(again.layers[0].w_q, tm.layers[0].w_q)
 
 
 # --- per-step equivalences -------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(VARIANT_CONFIGS))
-def test_step_equivalences_per_variant(name):
+def test_step_equivalences_per_variant(name, layer_steps):
     cfg = make_config(d_model=8, d_ff=12, vocab_size=10, **VARIANT_CONFIGS[name])
     params = gen_model(cfg, 43)
     pset = gen_permutation_set(cfg, 44)
@@ -314,9 +292,11 @@ def test_step_equivalences_per_variant(name):
     x = randm((5, 8), 45)
     mask = make_mask(MaskKind.CAUSAL, 5)
 
-    plain_trace, perm_trace = [], []
-    o = model_forward(x, params, mask, trace=plain_trace)
-    o_prime = model_forward(apply_col_perm(x, pset.pi), tm.params, mask, trace=perm_trace)
+    o = model_forward(x, params, mask)
+    plain_trace = layer_steps.take()
+    o_prime = model_forward(apply_col_perm(x, pset.pi), tm, mask)
+    perm_trace = layer_steps.take()
+    assert len(plain_trace) == len(perm_trace) == cfg.n_layers
 
     for i, (pt, qt) in enumerate(zip(plain_trace, perm_trace)):
         lp = pset.per_layer[i]
@@ -336,7 +316,7 @@ def test_step_equivalence_custom_mask():
     x = randm((6, 8), 48)
     mask = make_mask(MaskKind.CUSTOM, 6, seed=49)
     o = model_forward(x, params, mask)
-    o_prime = model_forward(apply_col_perm(x, pset.pi), tm.params, mask)
+    o_prime = model_forward(apply_col_perm(x, pset.pi), tm, mask)
     assert np.max(np.abs(o_prime - apply_col_perm(o, pset.pi_c))) <= 1e-5
 
 
@@ -350,7 +330,7 @@ def test_moe_expert_selection_identical_between_paths():
     x = randm((7, 8), 52)
     sel_a, _, _ = router_selection(x, params.layers[0].w_g, top_k=2)
     sel_b, _, _ = router_selection(
-        apply_col_perm(x, pset.pi), tm.params.layers[0].w_g, top_k=2
+        apply_col_perm(x, pset.pi), tm.layers[0].w_g, top_k=2
     )
     assert np.array_equal(sel_a, sel_b)
 
@@ -395,8 +375,6 @@ def test_any_consistent_key_set_verifies():
             LayerPerms(pi1=Permutation(swapped), pi2=lp.pi2, pi3s=lp.pi3s),
             *pset.per_layer[1:],
         ),
-        pi_v=pset.pi_v,
-        pi_t=pset.pi_t,
     )
     rep = verify_equivalence(params, altered, trials=3, tol=1e-4, n=6, seed=61)
     assert rep["passed"]
