@@ -57,12 +57,19 @@ def bench_transform(cfg, seed=0):
 
 
 def bench_traffic(n, d, s):
-    """Per-message byte counts, both computed from the format and measured."""
+    """Per-message byte counts, both computed from the format and measured.
+
+    A prefill of n rows in reply mode ALL (n×s reply) and in mode TOP1, whose
+    reply names one index; each tie at the maximum adds 4 bytes.
+    """
     overhead = wire.HEADER_SIZE + wire.MATRIX_PREFIX_SIZE
     x = np.zeros((n, d), dtype=np.float32)
     o = np.zeros((n, s), dtype=np.float32)
+    top1 = wire.ReplyMode.TOP1
     req = len(wire.encode_frame(wire.make_infer_request(x, 1, 0)))
     resp = len(wire.encode_frame(wire.make_infer_response(o, 1, 0)))
+    top1_req = len(wire.encode_frame(wire.make_infer_request(x, 1, 0, mode=top1)))
+    top1_resp = len(wire.encode_frame(wire.make_top1_response([0], 1, 0)))
     return {
         "n": n,
         "d": d,
@@ -72,6 +79,10 @@ def bench_traffic(n, d, s):
         "request_bytes_measured": req,
         "response_bytes_computed": 4 * n * s + overhead,
         "response_bytes_measured": resp,
+        "top1_request_bytes_computed": 4 * n * d + overhead + 8,
+        "top1_request_bytes_measured": top1_req,
+        "top1_response_bytes_computed": wire.HEADER_SIZE + 4 + 4,
+        "top1_response_bytes_measured": top1_resp,
     }
 
 
@@ -126,7 +137,7 @@ def bench_generation(params, prompt_ids, max_tokens, latency=0.0, seed=0):
         deploy(hub, p3, *p1.initialize(seed))
         link = _TimedLink(hub.client_link("p3"))
         total_t0 = time.perf_counter()
-        p3.generate(prompt_ids, max_tokens, link)
+        token_ids = p3.generate(prompt_ids, max_tokens, link)
         total_s = time.perf_counter() - total_t0
     finally:
         hub.shutdown()
@@ -136,6 +147,7 @@ def bench_generation(params, prompt_ids, max_tokens, latency=0.0, seed=0):
     n = max(max_tokens, 1)
     return {
         "tokens": max_tokens,
+        "token_ids": token_ids,
         "total_s": total_s,
         "tokens_per_s": max_tokens / total_s if total_s > 0 else float("inf"),
         "device_ms_per_token": 1e3 * device_s / n,

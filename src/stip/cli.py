@@ -195,6 +195,17 @@ def cmd_genmodel(rc, args):
     return EXIT_OK
 
 
+def _epoch(raw):
+    """An epoch from the command line: the keys file stores it as a u64."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"epoch must be an integer, got {raw!r}") from None
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"epoch must be in [0, 2**64), got {value}")
+    return value
+
+
 def cmd_transform(rc, args):
     params = _load_any_model(args.model)
     pset = gen_permutation_set(params.config, rc.seed, identity=args.identity)
@@ -388,7 +399,7 @@ def build_parser():
     p.add_argument("--out-model", dest="out_model", required=True)
     p.add_argument("--out-keys", dest="out_keys", required=True)
     p.add_argument("--identity", action="store_true", help="identity permutations (debug)")
-    p.add_argument("--epoch", type=int, default=1)
+    p.add_argument("--epoch", type=_epoch, default=1)
     _add_config_flags(p)
     p.set_defaults(func=cmd_transform)
 

@@ -10,7 +10,9 @@ inference traffic.
 
 Generation is incremental: P3 sends the whole prompt once (a prefill), then
 one row per generated token. P2 keeps the sequence's K′/V′ per link, so a
-decode step costs one row of wire traffic and one row of model work.
+decode step costs one row of wire traffic and one row of model work. Each
+round asks for a TOP1 reply: P2 names the permuted indices where o′'s last
+row is largest, not the whole 1×s row.
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ from . import container, wire
 from .errors import (
     AbortedGenerationError,
     CodecError,
+    DegenerateRowError,
     InvalidConfigError,
     InvalidDimensionError,
     NotInitializedError,
@@ -43,7 +46,7 @@ from .model import (
     make_mask,
     model_forward,
 )
-from .numerics import apply_col_perm
+from .numerics import DTYPE, apply_col_perm
 from .transform import gen_permutation_set, para_trans, recover_output
 from .transport import accept, connect, inproc_pair, listen
 
@@ -73,8 +76,9 @@ class Transcript:
         self._lock = threading.Lock()
 
     def log(self, direction, frame):
+        """Record one frame; `dims` is the matrix shape of an INFER_REQUEST."""
         dims = None
-        if frame.msg_type in (wire.MsgType.INFER_REQUEST, wire.MsgType.INFER_RESPONSE):
+        if frame.msg_type is wire.MsgType.INFER_REQUEST:
             dims = list(wire.matrix_dims(frame.payload))
         entry = {
             "ts": time.time(),
@@ -204,11 +208,13 @@ class ServerParty:
             return wire.make_ack(frame.epoch, frame.session_id)
 
     def serve(self, frame, cache=None):
-        """InferRequest -> InferResponse at the current epoch, one row per request row.
+        """InferRequest -> InferResponse at the current epoch, in the request's reply mode.
 
-        A prefill (start 0) replaces the link's cache; a decode step (start > 0)
-        extends it and must name exactly the rows the cache holds. Without a
-        cache (a direct call) only a prefill can be served, and nothing is kept.
+        Mode ALL replies with o′, one row per request row; mode TOP1 with the
+        indices where o′'s last row equals its maximum. A prefill (start 0)
+        replaces the link's cache; a decode step (start > 0) extends it and
+        must name exactly the rows the cache holds. Without a cache (a direct
+        call) only a prefill can be served, and nothing is kept.
         """
         if frame.msg_type is not wire.MsgType.INFER_REQUEST:
             raise ProtocolError(f"expected INFER_REQUEST, got {frame.msg_type.name}")
@@ -225,7 +231,7 @@ class ServerParty:
         cfg = model.config
         if cfg.mask_kind is MaskKind.CUSTOM:
             raise ProtocolError("custom masks cannot travel over this protocol")
-        x, start = wire.decode_infer_request(frame.payload)
+        x, start, mode = wire.decode_infer_request(frame.payload)
         if x.shape[0] == 0 or x.shape[1] != cfg.d_model:
             raise InvalidDimensionError(
                 f"request is {x.shape[0]}x{x.shape[1]}, model needs n>=1 rows "
@@ -250,6 +256,9 @@ class ServerParty:
         mask = make_mask(cfg.mask_kind, n=x.shape[0])
         try:
             o = model_forward(x, model, mask, MOE_TOP_K, cache=kv)
+            if mode == wire.ReplyMode.TOP1:
+                top = _argmax_set(o[-1])
+                return wire.make_top1_response(top, epoch, frame.session_id)
         except BaseException:
             if cache is not None:
                 cache.kv = None
@@ -328,21 +337,26 @@ class DataOwnerParty:
         self.epoch = epoch
         return wire.make_ack(self.epoch, frame.session_id)
 
-    def infer_request(self, token_ids, start=0):
+    def infer_request(self, token_ids, start=0, mode=wire.ReplyMode.ALL):
         """Embed on-device, permute columns by π, frame the request.
 
         start > 0 makes a decode step: token_ids follow the `start` rows P2
-        already holds for this link.
+        already holds for this link. `mode` names the reply P2 sends.
         """
         if self.pi is None:
             raise NotInitializedError("no shared keys deployed")
         x = embed(token_ids, self.embedding)
         return wire.make_infer_request(
-            apply_col_perm(x, self.pi), self.epoch, self.session_id, start
+            apply_col_perm(x, self.pi), self.epoch, self.session_id, start, mode
         )
 
-    def recover(self, frame):
-        """o = o′ π_cᵀ."""
+    def recover(self, frame, mode=wire.ReplyMode.ALL):
+        """o = o′ π_cᵀ for an ALL reply; `mode` is the one the request named.
+
+        A TOP1 reply becomes a 1×s row that is 1 at the original classes P2
+        named (class `pi_c.indices[i]` for index i) and 0 elsewhere, so its
+        argmax, lowest index first, is the argmax of o's last row.
+        """
         if self.pi_c is None:
             raise NotInitializedError("no shared keys deployed")
         if frame.msg_type is wire.MsgType.ERROR:
@@ -356,6 +370,12 @@ class DataOwnerParty:
             raise StaleEpochError(
                 f"response epoch {frame.epoch}, session epoch {self.epoch}"
             )
+        if mode == wire.ReplyMode.TOP1:
+            s = self.pi_c.dim
+            top = self.pi_c.indices[wire.decode_top1_response(frame.payload, s)]
+            row = np.zeros((1, s), dtype=DTYPE)
+            row[0, top] = 1
+            return row
         return recover_output(wire.decode_matrix(frame.payload), self.pi_c)
 
     def generate(
@@ -369,17 +389,19 @@ class DataOwnerParty:
         """Autoregressive loop: one request/response round per generated token.
 
         The first round sends the whole prompt; each later round sends only
-        the last token, continuing the rows P2 holds for this link. A transport
-        fault or a server Error frame raises AbortedGenerationError carrying
-        the tokens generated so far.
+        the last token, continuing the rows P2 holds for this link. Every
+        round asks for a TOP1 reply. A transport fault, a server Error frame
+        or a malformed reply raises AbortedGenerationError carrying the tokens
+        generated so far.
         """
+        top1 = wire.ReplyMode.TOP1
         ids = [int(t) for t in prompt_ids]
         out = []
         for _ in range(max_tokens):
             if out:
-                req = self.infer_request(ids[-1:], start=len(ids) - 1)
+                req = self.infer_request(ids[-1:], start=len(ids) - 1, mode=top1)
             else:
-                req = self.infer_request(ids)
+                req = self.infer_request(ids, mode=top1)
             try:
                 transport.send(req)
                 if transcript is not None:
@@ -390,7 +412,7 @@ class DataOwnerParty:
             if transcript is not None:
                 transcript.log("P2->P3", resp)
             try:
-                o = self.recover(resp)
+                o = self.recover(resp, top1)
             except (ProtocolError, CodecError) as exc:
                 raise AbortedGenerationError(str(exc), out) from exc
             nxt = greedy_decode_step(o)
@@ -404,6 +426,14 @@ class DataOwnerParty:
             out += self.pi.indices.astype("<u4").tobytes()
             out += self.pi_c.indices.astype("<u4").tobytes()
         return out
+
+
+def _argmax_set(row):
+    """Indices where `row` equals its maximum; a NaN row has none to name."""
+    top = np.max(row)
+    if not np.isfinite(top):
+        raise DegenerateRowError("classifier row has no finite maximum")
+    return np.flatnonzero(row == top)
 
 
 def _error_reply(exc, frame):

@@ -2,9 +2,20 @@
 
 Frame header (little-endian, 31 bytes): magic "STIP", version u16, msg_type u8,
 epoch u64, session_id u64, payload_len u64. The payload encoding depends on the
-message type; matrices travel as (rows u32, cols u32, f32 row-major). An
-INFER_REQUEST that continues a sequence appends a u32 `start`: the number of
-rows the server must already hold for this link (see `make_infer_request`).
+message type; matrices travel as (rows u32, cols u32, f32 row-major).
+
+An INFER_REQUEST payload is the matrix x′, then a trailer of 0, 4 or 8 bytes:
+- none: a prefill (start 0) with reply mode ALL;
+- u32 `start` > 0: a decode step with reply mode ALL, where `start` is the
+  number of rows the server must already hold for this link;
+- u32 `start` (0 for a prefill), u32 reply mode: any mode other than ALL.
+
+The INFER_RESPONSE payload depends on the reply mode the request named:
+- ALL: the matrix o′, one softmax row per request row;
+- TOP1: u32 count >= 1, then `count` distinct u32 column indices of o′'s
+  last row where it equals that row's maximum, ascending.
+Either reply is 31 header bytes plus its payload: 8 + 4·rows·s for ALL,
+4 + 4·count for TOP1.
 """
 
 import struct
@@ -26,6 +37,8 @@ _MATRIX_PREFIX = struct.Struct("<II")
 MATRIX_PREFIX_SIZE = _MATRIX_PREFIX.size  # 8
 
 _START_TRAILER = struct.Struct("<I")
+_MODE_TRAILER = struct.Struct("<II")
+_TOP1_COUNT = struct.Struct("<I")
 _ERROR_PREFIX = struct.Struct("<H")
 _REKEY_PAYLOAD = struct.Struct("<Q")
 
@@ -38,6 +51,13 @@ class MsgType(IntEnum):
     REKEY = 5
     ERROR = 6
     ACK = 7
+
+
+class ReplyMode(IntEnum):
+    """What an INFER_RESPONSE carries, named by its request."""
+
+    ALL = 0  # o′, one softmax row per request row
+    TOP1 = 1  # the permuted indices where o′'s last row equals its maximum
 
 
 class ErrorCode(IntEnum):
@@ -159,37 +179,76 @@ def make_deploy_keys(keys_bytes, epoch, session_id):
     return Frame(MsgType.DEPLOY_KEYS, epoch, session_id, bytes(keys_bytes))
 
 
-def make_infer_request(x, epoch, session_id, start=0):
+def make_infer_request(x, epoch, session_id, start=0, mode=ReplyMode.ALL):
     """Rows x of a sequence; start > 0 says the server already holds `start` rows.
 
-    A request with start == 0 is a prefill and its payload is the bare matrix.
-    A decode step appends start as a u32 after the matrix.
+    In mode ALL a prefill (start 0) is the bare matrix and a decode step
+    appends start as a u32. Any other mode appends start and the mode as two
+    u32s, whatever the start.
     """
     payload = encode_matrix(x)
-    if start:
+    if mode != ReplyMode.ALL:
+        payload += _MODE_TRAILER.pack(start, mode)
+    elif start:
         payload += _START_TRAILER.pack(start)
     return Frame(MsgType.INFER_REQUEST, epoch, session_id, payload)
 
 
 def decode_infer_request(raw):
-    """INFER_REQUEST payload -> (x, start); the inverse of make_infer_request."""
+    """INFER_REQUEST payload -> (x, start, mode); the inverse of make_infer_request."""
     rows, cols = matrix_dims(raw)
     end = MATRIX_PREFIX_SIZE + 4 * rows * cols
     trailer = raw[end:]
     if not trailer:
-        return decode_matrix(raw), 0
-    if len(trailer) != _START_TRAILER.size:
+        return decode_matrix(raw), 0, ReplyMode.ALL
+    if len(trailer) == _START_TRAILER.size:
+        (start,) = _START_TRAILER.unpack(trailer)
+        if start == 0:
+            raise CodecError("a prefill request carries no start trailer")
+        mode = ReplyMode.ALL
+    elif len(trailer) == _MODE_TRAILER.size:
+        start, code = _MODE_TRAILER.unpack(trailer)
+        try:
+            mode = ReplyMode(code)
+        except ValueError:
+            raise CodecError(f"unknown reply mode {code}") from None
+        if mode is ReplyMode.ALL:
+            raise CodecError("reply mode ALL is named by a bare or start-only trailer")
+    else:
         raise CodecError(
-            f"request trailer is {len(trailer)} bytes, expected 0 or {_START_TRAILER.size}"
+            f"request trailer is {len(trailer)} bytes, expected 0, "
+            f"{_START_TRAILER.size} or {_MODE_TRAILER.size}"
         )
-    (start,) = _START_TRAILER.unpack(trailer)
-    if start == 0:
-        raise CodecError("a prefill request carries no start trailer")
-    return decode_matrix(memoryview(raw)[:end]), start
+    return decode_matrix(memoryview(raw)[:end]), start, mode
 
 
 def make_infer_response(o, epoch, session_id):
     return Frame(MsgType.INFER_RESPONSE, epoch, session_id, encode_matrix(o))
+
+
+def make_top1_response(indices, epoch, session_id):
+    """TOP1 reply: the count, then each permuted index as a u32, ascending."""
+    idx = np.asarray(indices, dtype="<u4")
+    payload = _TOP1_COUNT.pack(idx.size) + idx.tobytes()
+    return Frame(MsgType.INFER_RESPONSE, epoch, session_id, payload)
+
+
+def decode_top1_response(raw, classes):
+    """TOP1 reply payload -> its indices: ascending, distinct, each below `classes`."""
+    if len(raw) < _TOP1_COUNT.size:
+        raise CodecError("top1 reply shorter than its count")
+    (count,) = _TOP1_COUNT.unpack_from(raw)
+    if count == 0:
+        raise CodecError("top1 reply names no index")
+    size = _TOP1_COUNT.size + 4 * count
+    if len(raw) != size:
+        raise CodecError(f"top1 reply is {len(raw)} bytes, its count needs {size}")
+    idx = np.frombuffer(raw, dtype="<u4", count=count, offset=_TOP1_COUNT.size)
+    if np.any(idx[1:] <= idx[:-1]):
+        raise CodecError("top1 indices must be distinct and ascending")
+    if idx[-1] >= classes:
+        raise CodecError(f"top1 index out of range for {classes} classes")
+    return idx.astype(np.intp)
 
 
 def make_rekey(new_epoch, retiring_epoch, session_id):

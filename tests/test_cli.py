@@ -12,6 +12,7 @@ from conftest import make_config
 from stip import cli
 from stip.container import load_keys, load_model, load_model_json, save_keys
 from stip.model import gen_model
+from stip.protocol import DataOwnerParty, DeveloperParty, ServerParty
 from stip.transform import PermutationSet, gen_permutation_set
 
 
@@ -136,6 +137,19 @@ def test_transform_epoch_comes_from_the_flag_alone(tmp_path, capsys):
     assert seen == [(1, 1), (7, 7), (1, 1), (7, 7)]
 
 
+@pytest.mark.parametrize("epoch", ["-1", str(2**64)])
+def test_transform_epoch_out_of_u64_range_is_a_usage_error(tmp_path, capsys, epoch):
+    m, t, k = tmp_path / "m.bin", tmp_path / "t.bin", tmp_path / "k.bin"
+    cli.main(["genmodel", str(m), "--seed", "1"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["transform", "--model", str(m), "--out-model", str(t),
+                  "--out-keys", str(k), "--epoch", epoch])
+    assert exc.value.code == 2
+    assert "epoch must be in [0, 2**64)" in capsys.readouterr().err
+    assert not t.exists() and not k.exists()
+
+
 def test_identity_transform_preserves_model_bytes(tmp_path, capsys):
     m, t = tmp_path / "m.bin", tmp_path / "t.bin"
     cli.main(["genmodel", str(m), "--seed", "4"])
@@ -243,10 +257,20 @@ def test_simulate_reports_wire_bytes_per_token(capsys):
     res = report["results"]
     head = 31 + 8
     d, s = 64, 100  # the default desk config
+    # every round asks for a TOP1 reply: each request ends in a u32 start and
+    # a u32 mode, and each reply is a u32 count and one u32 index (no ties)
     assert res["request_bytes_per_token"] == (
-        head + 4 * 3 * d + 3 * (head + 4 * d + 4)
+        head + 4 * 3 * d + 8 + 3 * (head + 4 * d + 8)
     ) / 4
-    assert res["response_bytes_per_token"] == (head + 4 * 3 * s + 3 * (head + 4 * s)) / 4
+    assert res["response_bytes_per_token"] == 31 + 4 + 4
+    # a bare prefill still gets the full reply, one row per request row
+    params = gen_model(cli_default_config(), 6)
+    p2, p3 = ServerParty(), DataOwnerParty(params.embedding)
+    to_p2, to_p3 = DeveloperParty(params).initialize(6)
+    p2.handle_deploy(to_p2)
+    p3.handle_deploy_keys(to_p3)
+    reply = p2.serve(p3.infer_request([0, 1, 2]))
+    assert 31 + len(reply.payload) == head + 4 * 3 * s
 
 
 def test_simulate_socket_transport(capsys):

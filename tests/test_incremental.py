@@ -1,6 +1,12 @@
-"""Incremental decoding: P2's per-link K′/V′ cache and P3's one-row decode steps."""
+"""Incremental decoding: P2's per-link K′/V′ cache and P3's one-row decode steps.
 
+Also the TOP1 replies that `generate` asks for on every round.
+"""
+
+import socket
+import struct
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +14,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import stip.model
+import stip.protocol
 from conftest import VARIANT_CONFIGS, make_config
 from stip import bench, wire
 from stip.errors import (
     AbortedGenerationError,
     CodecError,
+    DegenerateRowError,
     InvalidConfigError,
     ProtocolError,
 )
@@ -24,6 +32,7 @@ from stip.model import (
     NormPlacement,
     embed,
     gen_model,
+    greedy_decode_step,
     greedy_generate,
     make_mask,
     model_forward,
@@ -32,14 +41,16 @@ from stip.numerics import apply_col_perm
 from stip.protocol import (
     DataOwnerParty,
     DeveloperParty,
+    LinkCache,
     ServerParty,
     Transcript,
     run_simulation,
 )
 from stip.transform import gen_permutation_set, para_trans
-from stip.transport import accept, connect, inproc_pair, listen
+from stip.transport import SocketTransport, accept, connect, inproc_pair, listen
 
 F32 = np.float32
+TOP1 = wire.ReplyMode.TOP1
 
 
 def deployed(params, seed=1):
@@ -52,12 +63,20 @@ def deployed(params, seed=1):
     return p1, p2, p3
 
 
+def socket_links():
+    """Two SocketTransports joined by a socketpair."""
+    a, b = socket.socketpair()
+    return SocketTransport(a), SocketTransport(b)
+
+
 class Served:
     """A client link whose far end P2 serves on a thread; joined on exit."""
 
-    def __init__(self, p2):
-        self.link, far = inproc_pair()
-        self._t = threading.Thread(target=p2.serve_loop, args=(far,), kwargs={"timeout": 5})
+    def __init__(self, p2, pair=inproc_pair):
+        self.link, self._far = pair()
+        self._t = threading.Thread(
+            target=p2.serve_loop, args=(self._far,), kwargs={"timeout": 5}
+        )
         self._t.start()
 
     def ask(self, frame):
@@ -70,6 +89,7 @@ class Served:
     def __exit__(self, *exc):
         self.link.close()
         self._t.join(timeout=5)
+        self._far.close()
         assert not self._t.is_alive()
 
 
@@ -203,15 +223,25 @@ def test_step_request_round_trip_and_prefill_payload_unchanged():
     x = np.arange(6, dtype=F32).reshape(2, 3)
     prefill = wire.make_infer_request(x, 1, 2)
     assert prefill.payload == wire.encode_matrix(x)
-    got, start = wire.decode_infer_request(prefill.payload)
-    assert start == 0 and np.array_equal(got, x)
+    got, start, mode = wire.decode_infer_request(prefill.payload)
+    assert start == 0 and mode is wire.ReplyMode.ALL and np.array_equal(got, x)
     step = wire.make_infer_request(x[:1], 1, 2, start=7)
     assert len(step.payload) == len(wire.encode_matrix(x[:1])) + 4
-    got, start = wire.decode_infer_request(step.payload)
-    assert start == 7 and np.array_equal(got, x[:1])
+    got, start, mode = wire.decode_infer_request(step.payload)
+    assert start == 7 and mode is wire.ReplyMode.ALL and np.array_equal(got, x[:1])
 
 
-@pytest.mark.parametrize("trailer", [b"\x01", b"\x00\x00\x00\x00", b"\x01" * 5])
+@pytest.mark.parametrize(
+    "trailer",
+    [
+        b"\x01",
+        b"\x00\x00\x00\x00",
+        b"\x01" * 5,
+        struct.pack("<II", 0, wire.ReplyMode.ALL),  # ALL has no mode trailer
+        struct.pack("<II", 3, 9),  # no such mode
+        b"\x01" * 9,
+    ],
+)
 def test_step_request_bad_trailer_is_codec_error(trailer):
     raw = wire.encode_matrix(np.ones((1, 2), F32)) + trailer
     with pytest.raises(CodecError):
@@ -406,12 +436,22 @@ def test_decode_wire_bytes_follow_rows_in_equals_rows_out():
     _, transcript = run_simulation(params, [prompt], new, seed=25)
     head = wire.HEADER_SIZE + wire.MATRIX_PREFIX_SIZE
     d, s = cfg.d_model, cfg.vocab_size
+    # generate asks for TOP1 replies: every request ends in a u32 start and a
+    # u32 mode, every reply is a u32 count and one u32 index (no ties here)
     assert transcript.frame_bytes(wire.MsgType.INFER_REQUEST) == (
-        head + 4 * len(prompt) * d + (new - 1) * (head + 4 * d + 4)
+        head + 4 * len(prompt) * d + 8 + (new - 1) * (head + 4 * d + 8)
     )
-    assert transcript.frame_bytes(wire.MsgType.INFER_RESPONSE) == (
-        head + 4 * len(prompt) * s + (new - 1) * (head + 4 * s)
+    assert transcript.frame_bytes(wire.MsgType.INFER_RESPONSE) == new * (
+        wire.HEADER_SIZE + 4 + 4
     )
+    # ALL replies keep one row per request row: a bare prefill, then a step
+    # with a 4-byte start trailer
+    _, p2, p3 = deployed(params, seed=25)
+    cache = LinkCache()
+    prefill = p2.serve(p3.infer_request(prompt), cache)
+    step = p2.serve(p3.infer_request([3], start=len(prompt)), cache)
+    assert wire.HEADER_SIZE + len(prefill.payload) == head + 4 * len(prompt) * s
+    assert wire.HEADER_SIZE + len(step.payload) == head + 4 * s
 
 
 def test_generation_bench_split_adds_up():
@@ -423,3 +463,146 @@ def test_generation_bench_split_adds_up():
     )
     assert rep["cloud_ms_per_token"] > 0
     assert parts == pytest.approx(1e3 * rep["total_s"] / 3, rel=1e-6)
+
+
+# --- TOP1 replies: wire ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("start", [0, 5])
+def test_top1_request_carries_start_and_mode(start):
+    x = np.arange(6, dtype=F32).reshape(2, 3)
+    req = wire.make_infer_request(x, 1, 2, start=start, mode=TOP1)
+    assert req.payload == wire.encode_matrix(x) + struct.pack("<II", start, TOP1)
+    got, got_start, mode = wire.decode_infer_request(req.payload)
+    assert (got_start, mode) == (start, TOP1) and np.array_equal(got, x)
+
+
+def test_top1_reply_round_trip():
+    reply = wire.make_top1_response(np.array([2, 7, 9]), 1, 2)
+    assert reply.msg_type is wire.MsgType.INFER_RESPONSE
+    assert reply.payload == struct.pack("<IIII", 3, 2, 7, 9)
+    assert wire.decode_top1_response(reply.payload, 10).tolist() == [2, 7, 9]
+
+
+# --- TOP1 replies: P3's strict decode, over a socket ------------------------------
+
+_BAD_TOP1 = {
+    "count_zero": struct.pack("<I", 0),
+    "index_eq_s": struct.pack("<II", 1, 12),
+    "duplicate": struct.pack("<III", 2, 3, 3),
+    "descending": struct.pack("<III", 2, 5, 3),
+    "fewer_than_count": struct.pack("<II", 2, 3),
+    "more_than_count": struct.pack("<III", 1, 3, 4),
+    "no_count": b"\x01\x00",
+}
+
+
+@pytest.mark.parametrize("payload", list(_BAD_TOP1.values()), ids=list(_BAD_TOP1))
+def test_malformed_top1_reply_aborts_generation(payload):
+    params = gen_model(make_config(vocab_size=12), 40)
+    _, _, p3 = deployed(params, seed=41)
+    bad = wire.Frame(wire.MsgType.INFER_RESPONSE, p3.epoch, 0, payload)
+    with pytest.raises(CodecError):
+        p3.recover(bad, TOP1)
+    near, far = socket_links()
+    try:
+        far.send(bad)  # the peer's answer waits in the stream for P3's request
+        with pytest.raises(AbortedGenerationError) as err:
+            p3.generate([0, 1], 3, near, timeout=5)
+        assert err.value.tokens == []
+        _, _, mode = wire.decode_infer_request(far.recv(timeout=5).payload)
+        assert mode is TOP1
+    finally:
+        near.close()
+        far.close()
+
+
+def test_top1_reply_names_the_class_through_pi_c():
+    params = gen_model(make_config(vocab_size=12), 42)
+    _, _, p3 = deployed(params, seed=43)
+    for j in (0, 5, 11):
+        row = p3.recover(wire.make_top1_response([j], p3.epoch, 0), TOP1)
+        assert row.shape == (1, 12)
+        assert np.flatnonzero(row[0]).tolist() == [p3.pi_c.indices[j]]
+
+
+# --- TOP1 replies: P2 --------------------------------------------------------------
+
+
+def test_nan_row_is_an_internal_error_never_an_empty_top1(monkeypatch):
+    params = gen_model(make_config(vocab_size=12), 44)
+    _, p2, p3 = deployed(params, seed=45)
+
+    def nan_forward(x, *args, **kwargs):
+        return np.full((x.shape[0], 12), np.nan, F32)
+
+    monkeypatch.setattr(stip.protocol, "model_forward", nan_forward)
+    with pytest.raises(DegenerateRowError):
+        p2.serve(p3.infer_request([0, 1], mode=TOP1))
+    with Served(p2, socket_links) as s:
+        assert error_code(s.ask(p3.infer_request([0, 1], mode=TOP1))) == (
+            wire.ErrorCode.INTERNAL
+        )
+        with pytest.raises(AbortedGenerationError) as err:
+            p3.generate([0, 1], 3, s.link, timeout=5)
+        assert err.value.tokens == []
+
+
+def test_unknown_reply_mode_is_malformed_and_the_cache_is_kept():
+    params = gen_model(make_config(), 46)
+    _, p2, p3 = deployed(params, seed=47)
+    with Served(p2, socket_links) as s:
+        assert s.ask(p3.infer_request([0, 1], mode=TOP1)).msg_type is (
+            wire.MsgType.INFER_RESPONSE
+        )
+        step = p3.infer_request([2], start=2)
+        unknown = replace(step, payload=step.payload[:-4] + struct.pack("<II", 2, 9))
+        assert error_code(s.ask(unknown)) == wire.ErrorCode.MALFORMED
+        # the link still holds the prefill's two rows
+        reply = s.ask(p3.infer_request([2], start=2, mode=TOP1))
+        assert reply.msg_type is wire.MsgType.INFER_RESPONSE
+
+
+# --- TOP1 replies: forced ties decode what the full reply decodes --------------------
+
+
+@pytest.mark.parametrize(
+    "mask_kind", [MaskKind.CAUSAL, MaskKind.NONE], ids=["causal", "none"]
+)
+@pytest.mark.parametrize("variant", sorted(VARIANT_CONFIGS))
+def test_forced_ties_top1_equals_full_reply_and_local_greedy(variant, mask_kind):
+    cfg = make_config(vocab_size=12, mask_kind=mask_kind, **VARIANT_CONFIGS[variant])
+    params = gen_model(cfg, 48)
+    # class j shares its W_c column with every class ≡ j (mod 3), so each
+    # softmax row ties exactly, four ways, at its maximum
+    w_c = np.ascontiguousarray(params.w_c[:, np.arange(12) % 3])
+    params = replace(params, w_c=w_c)
+    _, p2, p3 = deployed(params, seed=49)
+    prompt, new = [0, 5, 2], 6
+    top1_link, all_link = LinkCache(), LinkCache()
+    ids, tokens = list(prompt), []
+    for _ in range(new):
+        start = len(ids) - 1 if tokens else 0
+        rows = ids[start:]
+        top1 = p2.serve(p3.infer_request(rows, start, TOP1), top1_link)
+        full = p2.serve(p3.infer_request(rows, start), all_link)
+        assert len(wire.decode_top1_response(top1.payload, 12)) == 4
+        token = stip.protocol.greedy_decode_step(p3.recover(top1, TOP1))
+        assert token == greedy_decode_step(p3.recover(full))
+        ids.append(token)
+        tokens.append(token)
+    assert tokens == greedy_generate(params, prompt, new)
+    with Served(p2, socket_links) as s:
+        assert p3.generate(prompt, new, s.link, timeout=5) == tokens
+
+
+def test_transcript_never_reads_dims_of_a_top1_reply():
+    transcript = Transcript()
+    reply = wire.make_top1_response([7], 1, 2)
+    transcript.log("P2->P3", reply)
+    assert transcript.entries[0]["dims"] is None
+    assert transcript.entries[0]["bytes"] == wire.HEADER_SIZE + 8
+    params = gen_model(make_config(), 50)
+    _, transcript = run_simulation(params, [[0, 1, 2]], 3, seed=51)
+    replies = [e for e in transcript.entries if e["msg_type"] == "INFER_RESPONSE"]
+    assert [e["dims"] for e in replies] == [None] * 3
