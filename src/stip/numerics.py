@@ -206,11 +206,17 @@ def gelu(x):
 
 
 def sigmoid(x):
-    """Elementwise logistic function."""
+    """Elementwise logistic function, stable for large |x|.
+
+    1/(1 + e^−x) for x ≥ 0 and e^x/(1 + e^x) otherwise, so exp never
+    overflows. e = exp(−|x|) is exactly e^−x on the first branch and e^x on
+    the second, so one branch-free pass computes both with the same float32
+    operations on the same values: the output is bit-identical to evaluating
+    each branch on its own subset (a boolean gather and scatter), for every
+    float32 input, ±0, ±inf and NaN included. The masked gather and scatter
+    cost about three times the arithmetic on a SwiGLU gate, so there is none.
+    """
     x = as_matrix(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)

@@ -51,6 +51,11 @@ from .transform import gen_permutation_set, para_trans, recover_output
 from .transport import accept, connect, inproc_pair, listen
 
 RECV_TIMEOUT = 30.0
+# Live TCP connections a `_ServerHost` serves at once, one thread each; the
+# acceptor closes any connection past the cap as soon as it is accepted, so a
+# peer cannot make the server start threads without bound. A simulation or a
+# bench run holds at most two (P1's deploy link and P3's link).
+MAX_CONNECTIONS = 64
 
 _log = logging.getLogger(__name__)
 
@@ -485,11 +490,17 @@ class _ServerHost:
                 conn = accept(self.srv, self.latency, timeout=0.2)
             except TransportError:
                 continue
+            # the acceptor itself is the first thread
+            self._threads = [old for old in self._threads if old.is_alive()]
+            if len(self._threads) - 1 >= MAX_CONNECTIONS:
+                _log.warning("closed a connection: %d already live", MAX_CONNECTIONS)
+                conn.close()
+                continue
             t = threading.Thread(
                 target=self._serve_conn, args=(conn,), daemon=True
             )
             t.start()
-            self._threads = [old for old in self._threads if old.is_alive()] + [t]
+            self._threads.append(t)
         self.srv.close()
 
     def _serve_conn(self, conn):

@@ -162,12 +162,19 @@ def encode_error_payload(code, detail):
 
 
 def decode_error_payload(raw):
+    """(code, detail): an ErrorCode, or the raw int for a code this side lacks."""
     if len(raw) < _ERROR_PREFIX.size:
         raise CodecError("error payload shorter than its code")
     (code,) = _ERROR_PREFIX.unpack(raw[: _ERROR_PREFIX.size])
-    return ErrorCode(code) if code in ErrorCode._value2member_map_ else code, raw[
-        _ERROR_PREFIX.size :
-    ].decode("utf-8")
+    try:
+        code = ErrorCode(code)
+    except ValueError:
+        pass
+    try:
+        detail = raw[_ERROR_PREFIX.size :].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"error detail is not UTF-8: {exc.reason}") from None
+    return code, detail
 
 
 def make_deploy_model(model_bytes, epoch, session_id):

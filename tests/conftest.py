@@ -62,6 +62,22 @@ VARIANT_CONFIGS = {
 }
 
 
+def sigmoid_scatter_oracle(x):
+    """σ branch by branch: 1/(1 + e^−x) on the subset x ≥ 0, e^x/(1 + e^x) on the rest.
+
+    Each subset is gathered and scattered back through a boolean mask. This is
+    the reference that `numerics.sigmoid`, one branch-free pass, must match
+    bit for bit.
+    """
+    x = as_matrix(x)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -517,6 +517,34 @@ def test_malformed_top1_reply_aborts_generation(payload):
         far.close()
 
 
+@pytest.mark.parametrize("good_rounds", [0, 2])
+def test_non_utf8_error_detail_aborts_generation_with_tokens_so_far(good_rounds):
+    params = gen_model(make_config(vocab_size=12), 48)
+    _, p2, p3 = deployed(params, seed=49)
+    near, far = socket_links()
+
+    def peer():
+        """P2 answers `good_rounds` requests, then an Error whose detail is not UTF-8."""
+        cache = LinkCache()
+        for _ in range(good_rounds):
+            far.send(p2.serve(far.recv(timeout=5), cache))
+        req = far.recv(timeout=5)
+        payload = struct.pack("<H", wire.ErrorCode.INTERNAL) + b"\xff\xfe"
+        far.send(wire.Frame(wire.MsgType.ERROR, req.epoch, req.session_id, payload))
+
+    t = threading.Thread(target=peer)
+    t.start()
+    try:
+        with pytest.raises(AbortedGenerationError) as err:
+            p3.generate([0, 1], 4, near, timeout=5)
+        assert err.value.tokens == greedy_generate(params, [0, 1], good_rounds)
+        t.join(timeout=5)
+        assert not t.is_alive()
+    finally:
+        near.close()
+        far.close()
+
+
 def test_top1_reply_names_the_class_through_pi_c():
     params = gen_model(make_config(vocab_size=12), 42)
     _, _, p3 = deployed(params, seed=43)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import VARIANT_CONFIGS, make_config
+import stip.model
+from conftest import VARIANT_CONFIGS, make_config, sigmoid_scatter_oracle
 from stip.errors import (
     InvalidConfigError,
     InvalidDimensionError,
@@ -17,6 +18,7 @@ from stip.model import (
     EmbeddingTable,
     FfnKind,
     FfnWeights,
+    KVCache,
     LayerWeights,
     Mask,
     MaskKind,
@@ -36,7 +38,8 @@ from stip.model import (
     random_custom_mask,
     router_selection,
 )
-from stip.numerics import layernorm, softmax_rows
+from stip.numerics import apply_col_perm, layernorm, softmax_rows
+from stip.transform import gen_permutation_set, para_trans
 
 F32 = np.float32
 
@@ -298,6 +301,41 @@ def test_moe_against_per_token_loop_oracle():
             y = ffn_forward(v[t : t + 1], w.experts[j], FfnKind.RELU)
             oracle[t] += (wt / total) * y[0].astype(np.float64)
     assert np.max(np.abs(out.astype(np.float64) - oracle)) <= 1e-5
+
+
+def _swiglu_moe_outputs(prefill=24, steps=4, seed=41):
+    """Prefill plus one-row cached steps, plain and permuted, on a SwiGLU MoE."""
+    cfg = make_config(
+        d_model=16,
+        d_ff=32,
+        norm_kind=NormKind.RMSNORM,
+        norm_placement=NormPlacement.PRE,
+        ffn_kind=FfnKind.SWIGLU,
+        n_experts=4,
+    )
+    params = gen_model(cfg, seed)
+    pset = gen_permutation_set(cfg, seed + 1)
+    x = randm((prefill + steps, cfg.d_model), seed=seed + 2, scale=4.0)
+    mask = make_mask(MaskKind.CAUSAL)
+    outs = []
+    for model, rows in (
+        (params, x),
+        (para_trans(params, pset), apply_col_perm(x, pset.pi)),
+    ):
+        cache = KVCache(len(model.layers))
+        outs.append(model_forward(rows[:prefill], model, mask, cache=cache))
+        for i in range(prefill, prefill + steps):
+            outs.append(model_forward(rows[i : i + 1], model, mask, cache=cache))
+    return outs
+
+
+def test_swiglu_moe_forward_bit_identical_to_scatter_sigmoid(monkeypatch):
+    fast = _swiglu_moe_outputs()
+    monkeypatch.setattr(stip.model, "sigmoid", sigmoid_scatter_oracle)
+    oracle = _swiglu_moe_outputs()
+    assert len(fast) == len(oracle) == 10
+    for a, b in zip(fast, oracle):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_moe_top_k_exceeding_experts_rejected():

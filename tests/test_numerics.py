@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import sigmoid_scatter_oracle
 from stip.errors import DegenerateRowError, InvalidDimensionError
 from stip.numerics import (
     F32_MIN,
@@ -306,6 +308,39 @@ def test_sigmoid_extreme_inputs_stable():
     out = sigmoid(np.array([[-100.0, 100.0]], dtype=F32))
     assert np.isfinite(out).all()
     assert np.allclose(out, [[0.0, 1.0]], atol=1e-6)
+
+
+_TINY = float(np.finfo(F32).smallest_subnormal)
+_SIGMOID_EDGES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, _TINY, -_TINY,
+    float(np.finfo(F32).tiny), -float(np.finfo(F32).tiny),
+    88.0, -88.0, 88.8, -88.8, 103.9, -103.9, 104.0, -104.0,
+    float(np.finfo(F32).max), float(np.finfo(F32).min),
+]
+
+
+@given(
+    arrays(
+        F32,
+        st.tuples(st.integers(1, 4), st.integers(1, 40)),
+        elements=st.one_of(st.floats(width=32), st.sampled_from(_SIGMOID_EDGES)),
+    )
+)
+def test_sigmoid_bit_identical_to_scatter_oracle(x):
+    out = sigmoid(x)
+    assert out.dtype == F32
+    assert np.array_equal(out, sigmoid_scatter_oracle(x), equal_nan=True)
+
+
+def test_sigmoid_edges_and_a_gate_sized_block_match_the_oracle():
+    edges = np.array([_SIGMOID_EDGES], dtype=F32)
+    out = sigmoid(edges)
+    assert np.array_equal(out, sigmoid_scatter_oracle(edges), equal_nan=True)
+    assert out[0, 1] == 0.5 and out[0, 2] == 1.0 and out[0, 3] == 0.0
+    assert np.isnan(out[0, 4])
+    # a 64 x 1024 SwiGLU gate, wide enough for every SIMD body and tail path
+    gate = randm((64, 1024), seed=28, scale=30.0)
+    assert np.array_equal(sigmoid(gate), sigmoid_scatter_oracle(gate))
 
 
 def test_gelu_matches_gaussian_cdf_oracle():

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import stip.protocol
 from conftest import make_config
 from stip import container, wire
 from stip.errors import (
@@ -453,6 +454,39 @@ def test_server_host_forgets_finished_connection_threads():
         assert len(hub._threads) <= 2  # the acceptor and the live connection
         hub.release(link)
     finally:
+        hub.shutdown()
+
+
+def test_server_host_closes_connections_past_the_cap(monkeypatch):
+    monkeypatch.setattr(stip.protocol, "MAX_CONNECTIONS", 2)
+
+    def round_trip(link):
+        link.send(wire.make_ack(0, 0))  # P2 answers any frame, here with an Error
+        assert link.recv(timeout=5.0).msg_type is wire.MsgType.ERROR
+
+    hub = _ServerHost(ServerParty(), "socket", 0.0, 5.0)
+    links = []
+    try:
+        for _ in range(2):
+            links.append(hub.client_link("p3"))
+            round_trip(links[-1])
+        links.append(hub.client_link("p3"))
+        with pytest.raises(TransportError, match="closed"):
+            links[-1].recv(timeout=5.0)  # the acceptor closed it unserved
+        for link in links[:2]:
+            round_trip(link)  # the open connections keep serving
+        assert len(hub._threads) == 3  # the acceptor and two connections
+        # a connection that ends frees its slot
+        hub.release(links.pop(0))
+        deadline = time.monotonic() + 5.0
+        while sum(t.is_alive() for t in hub._threads) > 2:
+            assert time.monotonic() < deadline, "serve thread did not end"
+            time.sleep(0.01)
+        links.append(hub.client_link("p3"))
+        round_trip(links[-1])
+    finally:
+        for link in links:
+            hub.release(link)
         hub.shutdown()
 
 

@@ -126,6 +126,19 @@ def test_error_payload_round_trip():
     assert detail == "epoch 3 is retired"
 
 
+def test_error_payload_unknown_code_stays_an_int():
+    code, detail = decode_error_payload(struct.pack("<H", 77) + b"later")
+    assert code == 77 and not isinstance(code, ErrorCode) and detail == "later"
+
+
+@pytest.mark.parametrize(
+    "detail", [b"\xff\xfe", b"ok \xc3", "é".encode("utf-8")[:1]], ids=["bom", "cut2", "cut1"]
+)
+def test_error_payload_non_utf8_detail_is_codec_error(detail):
+    with pytest.raises(CodecError):
+        decode_error_payload(struct.pack("<H", ErrorCode.INTERNAL) + detail)
+
+
 def test_rekey_payload_round_trip():
     frame = make_rekey(new_epoch=4, retiring_epoch=3, session_id=8)
     assert frame.epoch == 4
