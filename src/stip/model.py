@@ -216,17 +216,18 @@ def embed(token_ids, table):
 
 
 class _Rows:
-    """A matrix that grows by appended rows; its buffer doubles when full."""
+    """A matrix of `dtype` that grows by appended rows; its buffer doubles when full."""
 
-    def __init__(self):
+    def __init__(self, dtype):
+        self.dtype = dtype
         self._buf = None
         self.n = 0
 
     def append(self, rows):
-        """Append rows; returns a view of every row held so far."""
+        """Append rows, cast to the buffer's dtype; returns a view of every row so far."""
         n = self.n + rows.shape[0]
         if self._buf is None or n > self._buf.shape[0]:
-            buf = np.empty((max(n, 2 * self.n), rows.shape[1]), dtype=rows.dtype)
+            buf = np.empty((max(n, 2 * self.n), rows.shape[1]), dtype=self.dtype)
             if self.n:
                 buf[: self.n] = self._buf[: self.n]
             self._buf = buf
@@ -236,11 +237,15 @@ class _Rows:
 
 
 class LayerKV:
-    """K and V rows of one layer for the rows of a sequence computed so far."""
+    """K and V rows of one layer for the rows of a sequence computed so far.
+
+    The rows arrive as float32 and are kept as float64, widened once here,
+    so `attention` hands the whole cached prefix to `matmul` without a cast.
+    """
 
     def __init__(self):
-        self._k = _Rows()
-        self._v = _Rows()
+        self._k = _Rows(np.float64)
+        self._v = _Rows(np.float64)
 
     @property
     def rows(self):
@@ -254,7 +259,8 @@ class LayerKV:
 class KVCache:
     """Decoding state of one sequence, so later rows need not recompute earlier ones.
 
-    Causal mask: K and V per layer, which later rows never change.
+    Causal mask: K and V per layer, which later rows never change, kept as
+    float64 copies of the float32 rows.
     Mask none: every output row depends on every input row, so earlier
     outputs change as rows arrive; the cache keeps the input rows and
     `model_forward` recomputes over all of them.
@@ -263,7 +269,7 @@ class KVCache:
 
     def __init__(self, n_layers):
         self.rows = 0
-        self.inputs = _Rows()
+        self.inputs = _Rows(DTYPE)
         self.layers = [LayerKV() for _ in range(n_layers)]
 
 

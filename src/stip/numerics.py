@@ -3,6 +3,11 @@
 Matrices are numpy float32 arrays in row-major order; vectors are 1-D float32
 arrays. Permutations are index vectors, never materialized as 0/1 matrices on
 hot paths (`to_matrix` exists for test oracles).
+
+`matmul` is the one exception to float32 inputs: it takes a 2-D float32 or
+float64 ndarray as it is and computes in float64, so a float64 operand is
+never rounded through float32 (the decoding cache keeps K′/V′ rows that way).
+Every result is float32.
 """
 
 import numpy as np
@@ -142,52 +147,76 @@ def apply_vec_perm(v, p):
     return v[p.indices]
 
 
+def _matmul_operand(x):
+    """A 2-D float32 or float64 ndarray as it is; anything else through as_matrix."""
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype.char in "fd":
+        return x
+    return as_matrix(x)
+
+
 def matmul(a, b):
-    """Standard matrix product; 64-bit accumulation, 32-bit result."""
-    a = as_matrix(a)
-    b = as_matrix(b)
+    """Standard matrix product; 64-bit accumulation, 32-bit result.
+
+    A 2-D float32 or float64 ndarray operand is used as it is, so a float64
+    operand reaches the float64 product unrounded; any other input is coerced
+    by `as_matrix` (a 1-D input becomes 1×n). Float32 operands are widened
+    with one cast each, float64 ones not at all. The same values given as
+    float32 or as float64 give the same bytes.
+    """
+    a = _matmul_operand(a)
+    b = _matmul_operand(b)
     if a.shape[1] != b.shape[0]:
         raise InvalidDimensionError(f"matmul shapes {a.shape} x {b.shape}")
-    return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(DTYPE)
+    return np.matmul(
+        a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+    ).astype(DTYPE)
 
 
 def softmax_rows(x):
-    """Row-wise softmax, stabilized by per-row max; -inf entries get weight 0."""
+    """Row-wise softmax, stabilized by per-row max; -inf entries get weight 0.
+
+    exp(−inf − max) is +0.0 on every row with a finite max, so masked
+    entries need no pass of their own; a row holding NaN or +inf gives NaN.
+    """
     x = as_matrix(x)
-    top = np.max(x, axis=1, keepdims=True)
-    if np.any(np.isneginf(top)):
+    top = x.max(axis=1, keepdims=True)
+    if (top == NEG_INF).any():
         raise DegenerateRowError("softmax row is entirely -inf")
     with np.errstate(invalid="ignore"):
         e = np.exp(x - top)
-    e = np.where(np.isneginf(x), 0.0, e)
-    denom = np.sum(e, axis=1, keepdims=True, dtype=np.float64)
+    denom = np.add.reduce(e, axis=1, keepdims=True, dtype=np.float64)
     return (e / denom).astype(DTYPE)
 
 
 def layernorm(x, gamma, beta, eps=1e-5):
-    """γ ∘ (x − μ)/√(σ² + eps) + β with per-row population variance."""
+    """γ ∘ (x − μ)/√(σ² + eps) + β with per-row population variance.
+
+    μ and σ² are float64 sums over the row divided by its width, which is
+    what `np.mean(..., dtype=np.float64)` computes.
+    """
     x = as_matrix(x)
     gamma = as_vector(gamma)
     beta = as_vector(beta)
-    if x.shape[1] != gamma.size or x.shape[1] != beta.size:
+    d = x.shape[1]
+    if d != gamma.size or d != beta.size:
         raise InvalidDimensionError(
-            f"layernorm dims: x cols {x.shape[1]}, gamma {gamma.size}, beta {beta.size}"
+            f"layernorm dims: x cols {d}, gamma {gamma.size}, beta {beta.size}"
         )
-    mu = np.mean(x, axis=1, keepdims=True, dtype=np.float64)
-    var = np.mean((x - mu) ** 2, axis=1, keepdims=True, dtype=np.float64)
-    out = (x - mu) / np.sqrt(var + eps)
+    mu = np.add.reduce(x, axis=1, keepdims=True, dtype=np.float64) / d
+    xc = x - mu
+    var = np.add.reduce(np.square(xc), axis=1, keepdims=True) / d
+    out = xc / np.sqrt(var + eps)
     return (out * gamma + beta).astype(DTYPE)
 
 
 def rmsnorm(x, gamma, eps=1e-5):
-    """γ ∘ x/√(mean(x²) + eps), per row."""
+    """γ ∘ x/√(mean(x²) + eps), per row; x² and its mean in float64."""
     x = as_matrix(x)
     gamma = as_vector(gamma)
-    if x.shape[1] != gamma.size:
-        raise InvalidDimensionError(
-            f"rmsnorm dims: x cols {x.shape[1]}, gamma {gamma.size}"
-        )
-    ms = np.mean(x.astype(np.float64) ** 2, axis=1, keepdims=True)
+    d = x.shape[1]
+    if d != gamma.size:
+        raise InvalidDimensionError(f"rmsnorm dims: x cols {d}, gamma {gamma.size}")
+    ms = np.add.reduce(np.square(x, dtype=np.float64), axis=1, keepdims=True) / d
     out = x / np.sqrt(ms + eps)
     return (out * gamma).astype(DTYPE)
 

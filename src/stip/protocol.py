@@ -302,6 +302,9 @@ class ServerParty:
                 reply = self.handle(frame, cache)
             except Exception as exc:  # the connection outlives any one request
                 reply = _error_reply(exc, frame)
+            # A DEPLOY_MODEL frame holds the whole container; do not keep it
+            # alive while waiting for the next frame.
+            del frame
             try:
                 transport.send(reply)
             except TransportError:

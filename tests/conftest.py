@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, settings
 
 import stip.model
 from stip.model import FfnKind, MaskKind, ModelConfig, NormKind, NormPlacement
-from stip.numerics import as_matrix, matmul
+from stip.errors import DegenerateRowError, InvalidDimensionError
+from stip.numerics import DTYPE, as_matrix, as_vector, matmul
 
 settings.register_profile(
     "suite",
@@ -76,6 +77,57 @@ def sigmoid_scatter_oracle(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+# The row-wise primitives as they were before their per-call overhead was
+# trimmed. `numerics.matmul`, `layernorm`, `rmsnorm` and `softmax_rows` must
+# match them bit for bit wherever these accept the input.
+
+
+def matmul_cast_oracle(a, b):
+    """Both operands through as_matrix (float32), then cast to float64 and multiplied."""
+    a = as_matrix(a)
+    b = as_matrix(b)
+    if a.shape[1] != b.shape[0]:
+        raise InvalidDimensionError(f"matmul shapes {a.shape} x {b.shape}")
+    return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(DTYPE)
+
+
+def softmax_where_oracle(x):
+    """Softmax whose -inf entries are zeroed by a separate np.where pass."""
+    x = as_matrix(x)
+    top = np.max(x, axis=1, keepdims=True)
+    if np.any(np.isneginf(top)):
+        raise DegenerateRowError("softmax row is entirely -inf")
+    with np.errstate(invalid="ignore"):
+        e = np.exp(x - top)
+    e = np.where(np.isneginf(x), 0.0, e)
+    denom = np.sum(e, axis=1, keepdims=True, dtype=np.float64)
+    return (e / denom).astype(DTYPE)
+
+
+def layernorm_mean_oracle(x, gamma, beta, eps=1e-5):
+    """LayerNorm with its statistics from np.mean(..., dtype=np.float64)."""
+    x = as_matrix(x)
+    gamma = as_vector(gamma)
+    beta = as_vector(beta)
+    if x.shape[1] != gamma.size or x.shape[1] != beta.size:
+        raise InvalidDimensionError("layernorm dims")
+    mu = np.mean(x, axis=1, keepdims=True, dtype=np.float64)
+    var = np.mean((x - mu) ** 2, axis=1, keepdims=True, dtype=np.float64)
+    out = (x - mu) / np.sqrt(var + eps)
+    return (out * gamma + beta).astype(DTYPE)
+
+
+def rmsnorm_mean_oracle(x, gamma, eps=1e-5):
+    """RMSNorm with mean(x²) from np.mean over the float64 squares."""
+    x = as_matrix(x)
+    gamma = as_vector(gamma)
+    if x.shape[1] != gamma.size:
+        raise InvalidDimensionError("rmsnorm dims")
+    ms = np.mean(x.astype(np.float64) ** 2, axis=1, keepdims=True)
+    out = x / np.sqrt(ms + eps)
+    return (out * gamma).astype(DTYPE)
 
 
 @pytest.fixture

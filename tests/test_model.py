@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import stip.model
-from conftest import VARIANT_CONFIGS, make_config, sigmoid_scatter_oracle
+from conftest import (
+    VARIANT_CONFIGS,
+    layernorm_mean_oracle,
+    make_config,
+    matmul_cast_oracle,
+    rmsnorm_mean_oracle,
+    sigmoid_scatter_oracle,
+    softmax_where_oracle,
+)
 from stip.errors import (
     InvalidConfigError,
     InvalidDimensionError,
@@ -19,6 +27,7 @@ from stip.model import (
     FfnKind,
     FfnWeights,
     KVCache,
+    LayerKV,
     LayerWeights,
     Mask,
     MaskKind,
@@ -303,20 +312,12 @@ def test_moe_against_per_token_loop_oracle():
     assert np.max(np.abs(out.astype(np.float64) - oracle)) <= 1e-5
 
 
-def _swiglu_moe_outputs(prefill=24, steps=4, seed=41):
-    """Prefill plus one-row cached steps, plain and permuted, on a SwiGLU MoE."""
-    cfg = make_config(
-        d_model=16,
-        d_ff=32,
-        norm_kind=NormKind.RMSNORM,
-        norm_placement=NormPlacement.PRE,
-        ffn_kind=FfnKind.SWIGLU,
-        n_experts=4,
-    )
+def _cached_outputs(cfg, mask_kind=MaskKind.CAUSAL, prefill=24, steps=4, seed=41):
+    """Prefill plus one-row cached steps, plain and permuted."""
     params = gen_model(cfg, seed)
     pset = gen_permutation_set(cfg, seed + 1)
     x = randm((prefill + steps, cfg.d_model), seed=seed + 2, scale=4.0)
-    mask = make_mask(MaskKind.CAUSAL)
+    mask = make_mask(mask_kind)
     outs = []
     for model, rows in (
         (params, x),
@@ -329,13 +330,59 @@ def _swiglu_moe_outputs(prefill=24, steps=4, seed=41):
     return outs
 
 
+_SWIGLU_MOE = make_config(
+    d_model=16,
+    d_ff=32,
+    norm_kind=NormKind.RMSNORM,
+    norm_placement=NormPlacement.PRE,
+    ffn_kind=FfnKind.SWIGLU,
+    n_experts=4,
+)
+
+
 def test_swiglu_moe_forward_bit_identical_to_scatter_sigmoid(monkeypatch):
-    fast = _swiglu_moe_outputs()
+    fast = _cached_outputs(_SWIGLU_MOE)
     monkeypatch.setattr(stip.model, "sigmoid", sigmoid_scatter_oracle)
-    oracle = _swiglu_moe_outputs()
+    oracle = _cached_outputs(_SWIGLU_MOE)
     assert len(fast) == len(oracle) == 10
     for a, b in zip(fast, oracle):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mask_kind", [MaskKind.CAUSAL, MaskKind.NONE])
+@pytest.mark.parametrize("name", sorted(VARIANT_CONFIGS))
+def test_forward_bit_identical_to_untrimmed_primitives(monkeypatch, name, mask_kind):
+    # 8 prefill rows, then 20 steps: the cache's buffers double twice
+    cfg = make_config(d_model=16, d_ff=32, **VARIANT_CONFIGS[name])
+    fast = _cached_outputs(cfg, mask_kind, prefill=8, steps=20)
+    for attr, oracle in (
+        ("matmul", matmul_cast_oracle),
+        ("layernorm", layernorm_mean_oracle),
+        ("rmsnorm", rmsnorm_mean_oracle),
+        ("softmax_rows", softmax_where_oracle),
+    ):
+        monkeypatch.setattr(stip.model, attr, oracle)
+    oracle = _cached_outputs(cfg, mask_kind, prefill=8, steps=20)
+    assert len(fast) == len(oracle) == 42
+    for a, b in zip(fast, oracle):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_layer_kv_holds_the_float32_rows_widened_to_float64():
+    kv = LayerKV()
+    ks, vs = [], []
+    # 3 rows, then appends that outgrow buffers of 6, 12 and 24 rows
+    for i, n in enumerate((3, 1, 2, 1, 5, 1, 9, 4)):
+        k = randm((n, 8), seed=60 + i, scale=1e3)
+        v = randm((n, 8), seed=80 + i, scale=1e-3)
+        k[0, 0], v[-1, -1] = -np.inf, np.float32(1e-45)  # -inf and a subnormal
+        ks.append(k)
+        vs.append(v)
+        big_k, big_v = kv.append(k, v)
+        assert big_k.dtype == big_v.dtype == np.float64
+        assert np.array_equal(big_k, np.concatenate(ks).astype(np.float64))
+        assert np.array_equal(big_v, np.concatenate(vs).astype(np.float64))
+    assert kv.rows == 26
 
 
 def test_moe_top_k_exceeding_experts_rejected():

@@ -8,7 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import sigmoid_scatter_oracle
+from conftest import (
+    layernorm_mean_oracle,
+    matmul_cast_oracle,
+    rmsnorm_mean_oracle,
+    sigmoid_scatter_oracle,
+    softmax_where_oracle,
+)
 from stip.errors import DegenerateRowError, InvalidDimensionError
 from stip.numerics import (
     F32_MIN,
@@ -190,6 +196,42 @@ def test_matmul_against_naive_loops():
 def test_matmul_dim_mismatch():
     with pytest.raises(InvalidDimensionError):
         matmul(randm((2, 3)), randm((2, 3)))
+    with pytest.raises(InvalidDimensionError):
+        matmul(randm((2, 3)).astype(np.float64), randm((2, 3)))
+
+
+def test_matmul_rejects_a_3d_operand_of_either_dtype():
+    for dtype in (F32, np.float64):
+        with pytest.raises(InvalidDimensionError):
+            matmul(np.ones((2, 2, 2), dtype=dtype), randm((2, 2)))
+        with pytest.raises(InvalidDimensionError):
+            matmul(randm((2, 2)), np.ones((2, 2, 2), dtype=dtype))
+
+
+def test_matmul_takes_a_1d_operand_as_one_row():
+    b = randm((3, 4), seed=30)
+    for a in (np.array([1.0, 2.0, 3.0], dtype=F32), [1.0, 2.0, 3.0]):
+        out = matmul(a, b)
+        assert out.shape == (1, 4) and out.dtype == F32
+        assert np.array_equal(out, matmul(np.array([[1.0, 2.0, 3.0]], dtype=F32), b))
+
+
+def test_matmul_uses_a_float64_operand_unrounded():
+    # 1 + 2^-30 rounds to 1.0 in float32, which would cancel to 0
+    a = np.array([[1.0 + 2.0**-30, -1.0]])
+    b = np.ones((2, 1))
+    assert matmul(a, b).tolist() == [[2.0**-30]]
+    assert matmul_cast_oracle(a, b).tolist() == [[0.0]]
+
+
+def test_matmul_float32_and_float64_forms_give_the_same_bytes():
+    a = randm((5, 7), seed=31, scale=3.0)
+    b = randm((7, 6), seed=32, scale=3.0)
+    out = matmul(a, b)
+    assert out.dtype == F32
+    for lhs in (a, a.astype(np.float64)):
+        for rhs in (b, b.astype(np.float64), b.astype(np.float64).T.copy().T):
+            assert matmul(lhs, rhs).tobytes() == out.tobytes()
 
 
 # --- softmax ---------------------------------------------------------------
@@ -397,3 +439,94 @@ def test_sentinel_codec_maps_only_the_sentinel_and_leaves_its_input():
     assert back is not stored and np.isneginf(back[0, 1])
     assert np.array_equal(back, x, equal_nan=True)
     assert stored[0, 1] == F32_MIN
+
+
+# --- trimmed primitives against the oracles they replace ---------------------------
+
+_ROW_EDGES = _SIGMOID_EDGES + [1e-40, -1e-40, 3.0e38, -3.0e38]
+_ELEMENTS = st.one_of(st.floats(width=32), st.sampled_from(_ROW_EDGES))
+_FINITE = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _row_blocks(draw, max_rows=6, max_cols=24):
+    """Float32 n x d blocks; each row is as drawn, constant, or -inf but one entry."""
+    n = draw(st.integers(1, max_rows))
+    d = draw(st.integers(1, max_cols))
+    x = draw(arrays(F32, (n, d), elements=_ELEMENTS))
+    for i in range(n):
+        kind = draw(st.sampled_from(("drawn", "constant", "one_finite")))
+        if kind == "constant":
+            x[i] = draw(_ELEMENTS)
+        elif kind == "one_finite":
+            x[i] = -np.inf
+            x[i, draw(st.integers(0, d - 1))] = draw(_FINITE)
+    return x
+
+
+def _same(fast, oracle):
+    return fast.dtype == oracle.dtype and np.array_equal(fast, oracle, equal_nan=True)
+
+
+def _both(fast, oracle, *args):
+    """Both calls' results, or both their exception types."""
+    outs = []
+    with np.errstate(all="ignore"):
+        for fn in (fast, oracle):
+            try:
+                outs.append(fn(*args))
+            except DegenerateRowError as exc:
+                outs.append(type(exc))
+    return outs
+
+
+@given(_row_blocks(), st.data())
+def test_matmul_bit_identical_to_cast_oracle(a, data):
+    m = data.draw(st.integers(1, 12))
+    b = data.draw(arrays(F32, (a.shape[1], m), elements=_ELEMENTS))
+    with np.errstate(all="ignore"):
+        out = matmul(a, b)
+        assert _same(out, matmul_cast_oracle(a, b))
+        assert _same(matmul(a.astype(np.float64), b.astype(np.float64)), out)
+
+
+@given(_row_blocks())
+def test_softmax_rows_bit_identical_to_where_oracle(x):
+    fast, oracle = _both(softmax_rows, softmax_where_oracle, x)
+    if fast is DegenerateRowError or oracle is DegenerateRowError:
+        assert fast is oracle
+    else:
+        assert _same(fast, oracle)
+
+
+@given(_row_blocks(), st.data())
+def test_norms_bit_identical_to_mean_oracles(x, data):
+    d = x.shape[1]
+    gamma = data.draw(arrays(F32, d, elements=_ELEMENTS))
+    beta = data.draw(arrays(F32, d, elements=_ELEMENTS))
+    assert _same(*_both(layernorm, layernorm_mean_oracle, x, gamma, beta))
+    assert _same(*_both(rmsnorm, rmsnorm_mean_oracle, x, gamma))
+
+
+def test_primitives_match_the_oracles_on_edge_rows_and_model_sized_blocks():
+    edges = np.array([_ROW_EDGES], dtype=F32)
+    d = edges.shape[1]
+    one_finite = np.full((1, d), -np.inf, dtype=F32)
+    one_finite[0, 3] = 2.5
+    rows = np.concatenate(
+        [edges, np.full((1, d), 7.0, F32), np.zeros((1, d), F32), one_finite]
+    )
+    ones, zeros = np.ones(d, F32), np.zeros(d, F32)
+    for x in (rows, *(rows[i : i + 1] for i in range(len(rows)))):
+        assert _same(*_both(layernorm, layernorm_mean_oracle, x, ones, zeros))
+        assert _same(*_both(rmsnorm, rmsnorm_mean_oracle, x, ones))
+        assert _same(*_both(softmax_rows, softmax_where_oracle, x))
+    # one-row decode steps and a prefill, at the widths the workloads use
+    for n, d, m in ((1, 64, 256), (1, 256, 4096), (64, 512, 1024), (17, 200, 3)):
+        x = randm((n, d), seed=n + d, scale=4.0)
+        w = randm((d, m), seed=m)
+        g, b = randm((d,), seed=1) + 1.0, randm((d,), seed=2)
+        assert _same(matmul(x, w), matmul_cast_oracle(x, w))
+        assert _same(layernorm(x, g, b), layernorm_mean_oracle(x, g, b))
+        assert _same(rmsnorm(x, g), rmsnorm_mean_oracle(x, g))
+        assert _same(softmax_rows(x), softmax_where_oracle(x))

@@ -1,7 +1,9 @@
 """Three-party protocol: deployment, inference rounds, re-keying, partitions."""
 
+import gc
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -340,6 +342,37 @@ def test_serve_loop_translates_faults_to_error_frames():
 
     near.close()
     t.join()
+
+
+def test_serve_loop_drops_a_deploy_frame_once_it_has_answered():
+    class Payload(bytearray):
+        """A container that can be weakly referenced."""
+
+    params = desk_params(51)
+    p1 = DeveloperParty(params, session_seed=52)
+    to_p2, to_p3 = p1.initialize(53)
+    p2 = ServerParty()
+    p3 = DataOwnerParty(params.embedding, session_seed=54)
+    p3.handle_deploy_keys(to_p3)
+    payload = Payload(to_p2.payload)
+    frame = wire.make_deploy_model(payload, to_p2.epoch, to_p2.session_id)
+    alive = weakref.ref(payload)
+    del to_p2
+    near, far = inproc_pair()
+    t = _serve_on_thread(p2, far)
+    try:
+        near.send(frame)
+        assert near.recv(timeout=5).msg_type is wire.MsgType.ACK
+        del frame, payload
+        gc.collect()
+        assert alive() is None
+        assert t.is_alive()
+        # the loop still serves the model the dropped container carried
+        assert p3.generate([1, 2], 3, near) == greedy_generate(params, [1, 2], 3)
+    finally:
+        near.close()
+        t.join(timeout=5)
+    assert not t.is_alive()
 
 
 # --- knowledge partition ---------------------------------------------------------------
