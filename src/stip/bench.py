@@ -134,8 +134,8 @@ def bench_generation(params, prompt_ids, max_tokens, latency=0.0, seed=0):
     p3 = DataOwnerParty(params.embedding, session_seed=seed + 1)
     hub = _ServerHost(p2, "inproc", latency, RECV_TIMEOUT)
     try:
-        deploy(hub, p3, *p1.initialize(seed))
-        link = _TimedLink(hub.client_link("p3"))
+        deploy(hub.p1_link, p3, *p1.initialize(seed))
+        link = _TimedLink(hub.p3_link)
         total_t0 = time.perf_counter()
         token_ids = p3.generate(prompt_ids, max_tokens, link)
         total_s = time.perf_counter() - total_t0

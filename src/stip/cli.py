@@ -89,14 +89,11 @@ class RunConfig:
 
 
 _CASTERS = {f.name: f.type for f in fields(RunConfig)}
-_TYPES = {"int": int, "float": float, "str": str}
 
 
 def _cast(key, raw):
-    kind = _CASTERS[key]
-    caster = _TYPES.get(kind, str) if isinstance(kind, str) else kind
     try:
-        return caster(raw)
+        return _CASTERS[key](raw)
     except ValueError as exc:
         raise InvalidConfigError(f"bad value for {key}: {raw!r}") from exc
 

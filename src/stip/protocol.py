@@ -51,11 +51,6 @@ from .transform import gen_permutation_set, para_trans, recover_output
 from .transport import accept, connect, inproc_pair, listen
 
 RECV_TIMEOUT = 30.0
-# Live TCP connections a `_ServerHost` serves at once, one thread each; the
-# acceptor closes any connection past the cap as soon as it is accepted, so a
-# peer cannot make the server start threads without bound. A simulation or a
-# bench run holds at most two (P1's deploy link and P3's link).
-MAX_CONNECTIONS = 64
 
 _log = logging.getLogger(__name__)
 
@@ -468,85 +463,65 @@ def _expect_ack(frame):
 
 
 class _ServerHost:
-    """Runs a ServerParty behind either transport and hands out client links."""
+    """Runs a ServerParty on exactly two client links, `p1_link` and `p3_link`.
+
+    Both links are opened here: an `inproc_pair` each, or over TCP a
+    `listen` -> `connect` -> `accept` per link, whose listener is closed
+    before any frame is sent, so no other peer can connect. P2 serves each
+    link on its own thread until the client end closes; `shutdown` closes
+    both links and joins both threads.
+    """
 
     def __init__(self, p2, transport_kind, latency, timeout, host="127.0.0.1"):
         self.p2 = p2
-        self.kind = transport_kind
-        self.latency = latency
         self.timeout = timeout
         self._threads = []
-        self._persistent = {}
-        if self.kind == "inproc":
-            self._stop = None
-        else:
-            self.srv = listen(host, 0)
-            self.host, self.port = self.srv.getsockname()[:2]
-            self._stop = threading.Event()
-            t = threading.Thread(target=self._acceptor, daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def _acceptor(self):
-        while not self._stop.is_set():
-            try:
-                conn = accept(self.srv, self.latency, timeout=0.2)
-            except TransportError:
-                continue
-            # the acceptor itself is the first thread
-            self._threads = [old for old in self._threads if old.is_alive()]
-            if len(self._threads) - 1 >= MAX_CONNECTIONS:
-                _log.warning("closed a connection: %d already live", MAX_CONNECTIONS)
-                conn.close()
-                continue
-            t = threading.Thread(
-                target=self._serve_conn, args=(conn,), daemon=True
-            )
-            t.start()
-            self._threads.append(t)
-        self.srv.close()
-
-    def _serve_conn(self, conn):
-        self.p2.serve_loop(conn, timeout=self.timeout)
-        conn.close()
-
-    def client_link(self, name):
-        """A connected client endpoint; in-process links persist per name."""
-        if self.kind == "inproc":
-            if name not in self._persistent:
-                near, far = inproc_pair(self.latency)
-                t = threading.Thread(target=self._serve_conn, args=(far,), daemon=True)
+        links = []
+        try:
+            for _ in range(2):
+                if transport_kind == "inproc":
+                    near, far = inproc_pair(latency)
+                else:
+                    near, far = self._tcp_pair(host, latency)
+                links.append(near)
+                t = threading.Thread(target=self._serve, args=(far,), daemon=True)
                 t.start()
                 self._threads.append(t)
-                self._persistent[name] = near
-            return self._persistent[name]
-        return connect(self.host, self.port, self.latency)
+        except BaseException:
+            for link in links:
+                link.close()
+            raise
+        self.p1_link, self.p3_link = links
 
-    def release(self, link):
-        if self.kind != "inproc":
-            link.close()
+    def _tcp_pair(self, host, latency):
+        with listen(host, 0) as srv:
+            near = connect(host, srv.getsockname()[1], latency)
+            try:
+                return near, accept(srv, latency, timeout=self.timeout)
+            except BaseException:
+                near.close()
+                raise
+
+    def _serve(self, conn):
+        self.p2.serve_loop(conn, timeout=None)
+        conn.close()
 
     def shutdown(self):
-        for link in self._persistent.values():
+        for link in (self.p1_link, self.p3_link):
             link.close()
-        if self._stop is not None:
-            self._stop.set()
-            # the acceptor is the first thread; once it ends, the list stops changing
-            self._threads[0].join(timeout=self.timeout)
         for t in self._threads:
             t.join(timeout=self.timeout)
 
 
-def deploy(hub, p3, to_p2, to_p3, transcript=None, timeout=RECV_TIMEOUT):
-    """Send θ′ to P2 over a P1 link and expect its ACK, then hand {π, π_c} to P3."""
-    link = hub.client_link("p1")
-    try:
-        link.send(to_p2)
-        if transcript is not None:
-            transcript.log("P1->P2", to_p2)
-        _expect_ack(link.recv(timeout=timeout))
-    finally:
-        hub.release(link)
+def deploy(link, p3, to_p2, to_p3, transcript=None, timeout=RECV_TIMEOUT):
+    """Send θ′ to P2 over P1's `link` and expect its ACK, then hand {π, π_c} to P3.
+
+    The link stays open, so one P1 link carries every deploy of a run.
+    """
+    link.send(to_p2)
+    if transcript is not None:
+        transcript.log("P1->P2", to_p2)
+    _expect_ack(link.recv(timeout=timeout))
     if transcript is not None:
         transcript.log("P1->P3", to_p3)
     _expect_ack(p3.handle_deploy_keys(to_p3))
@@ -577,22 +552,18 @@ def run_simulation(
     hub = _ServerHost(p2, transport_kind, latency, timeout, host)
     streams = []
     try:
-        deploy(hub, p3, *p1.initialize(seed), transcript=transcript, timeout=timeout)
-        p3_link = hub.client_link("p3")
-        try:
-            for i, prompt in enumerate(prompts):
-                if rekey_between and i == max(1, len(prompts) // 2) and i > 0:
-                    deploy(
-                        hub, p3, *p1.rekey(seed + 1000 + i),
-                        transcript=transcript, timeout=timeout,
-                    )
-                streams.append(
-                    p3.generate(
-                        prompt, max_tokens, p3_link, transcript, timeout=timeout
-                    )
+        deploy(
+            hub.p1_link, p3, *p1.initialize(seed), transcript=transcript, timeout=timeout
+        )
+        for i, prompt in enumerate(prompts):
+            if rekey_between and i == max(1, len(prompts) // 2) and i > 0:
+                deploy(
+                    hub.p1_link, p3, *p1.rekey(seed + 1000 + i),
+                    transcript=transcript, timeout=timeout,
                 )
-        finally:
-            hub.release(p3_link)
+            streams.append(
+                p3.generate(prompt, max_tokens, hub.p3_link, transcript, timeout=timeout)
+            )
     finally:
         hub.shutdown()
     return streams, transcript

@@ -54,14 +54,6 @@ class PermutationSet:
     pi_c: Permutation
     per_layer: tuple
 
-    def shared_part(self):
-        """The half deployed to the data owner."""
-        return {"pi": self.pi, "pi_c": self.pi_c}
-
-    def private_part(self):
-        """The per-layer half that never leaves the developer."""
-        return tuple(self.per_layer)
-
     def count(self):
         return 2 + sum(2 + len(lp.pi3s) for lp in self.per_layer)
 

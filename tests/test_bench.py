@@ -1,6 +1,7 @@
 """Benchmarks: schema correctness and the claims the numbers must support."""
 
 import csv
+import threading
 
 import numpy as np
 
@@ -76,6 +77,13 @@ def test_generation_bench_matches_local_greedy():
     assert rep["total_s"] > 0
     # throughput must describe a run that decodes the right tokens
     assert rep["token_ids"] == greedy_generate(params, prompt, 4)
+
+
+def test_generation_bench_leaves_no_serve_thread_alive():
+    params = gen_model(make_config(), 7)
+    before = set(threading.enumerate())
+    bench_generation(params, [0, 1], max_tokens=2, seed=8)
+    assert set(threading.enumerate()) <= before
 
 
 def test_generation_bench_split_keys():

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the summary of paired runs, on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,55 @@ def test_summary_spread_rule_reads_the_parents_quartiles_not_the_changes():
                               {"tokens_per_s": "higher"})["metrics"]["tokens_per_s"]
     assert m["parent"]["iqr"] == 2.0 and m["change"]["iqr"] == 15.0
     assert m["beyond_parent_iqr"] is True
+
+
+def _fake_runs(monkeypatch, calls):
+    """`run_once` reads tokens_per_s 40 on the parent and 50 on the change."""
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, seed))
+        value = 50.0 if checkout == "change" else 40.0
+        return {"correct": True, "failed": 0, "attempted": 1, "wall_s": 30.0,
+                "metrics": {"tokens_per_s": value}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "metric_directions",
+                        lambda checkout: {"tokens_per_s": "higher"})
+
+
+def _main(*extra):
+    return bench_pairs.main(["--parent", "parent", "--change", "change",
+                             "--workload", "desk-decode", "--topic", "t", *extra])
+
+
+def test_a_second_call_with_the_same_command_appends_its_pairs(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    _fake_runs(monkeypatch, calls)
+    assert _main("--pairs", "2", "--seed", "10") == 0
+    assert _main("--pairs", "3", "--seed", "20") == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    section = doc["workloads"]["desk-decode"]
+    assert section["seeds"] == [10, 11, 20, 21, 22]
+    assert [(r["pair"], r["seed"]) for r in section["runs"][::2]] == [
+        (0, 10), (1, 11), (2, 20), (3, 21), (4, 22)]
+    # the side that runs first keeps alternating across the two calls
+    assert [r["first"] for r in section["runs"][::2]] == [
+        "parent", "change", "parent", "change", "parent"]
+    assert section["summary"]["pairs"] == 5
+    assert section["summary"]["metrics"]["tokens_per_s"]["change_wins"] == "5/5"
+    assert len(calls) == 10
+
+
+def test_a_second_call_with_another_command_exits_2_and_leaves_the_file(
+        monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    _fake_runs(monkeypatch, calls)
+    assert _main("--pairs", "1", "--seconds", "20") == 0
+    before = (tmp_path / "BENCH_t.json").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        _main("--pairs", "1", "--seconds", "5")
+    assert exc.value.code == 2
+    assert (tmp_path / "BENCH_t.json").read_bytes() == before
+    assert len(calls) == 2  # the refused call ran nothing

@@ -1,6 +1,7 @@
 """Three-party protocol: deployment, inference rounds, re-keying, partitions."""
 
 import gc
+import socket
 import threading
 import time
 import weakref
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import stip.protocol
+import stip.transport
 from conftest import make_config
 from stip import container, wire
 from stip.errors import (
@@ -441,12 +443,13 @@ def test_simulation_transcript_shape_single_prompt():
     assert transcript.entries[2]["dims"] == [3, params.config.d_model]
 
 
-def test_simulation_rekey_between_prompts_keeps_streams():
+@pytest.mark.parametrize("kind", ["inproc", "socket"])
+def test_simulation_rekey_between_prompts_keeps_streams(kind):
     params = desk_params(55)
     prompts = [[0, 1], [2, 3], [4, 5]]
     local = [greedy_generate(params, p, 3) for p in prompts]
     streams, transcript = run_simulation(
-        params, prompts, 3, seed=56, rekey_between=True
+        params, prompts, 3, transport_kind=kind, seed=56, rekey_between=True
     )
     assert streams == local
     deploys = [e for e in transcript.entries if e["direction"].startswith("P1")]
@@ -466,60 +469,57 @@ def test_simulation_latency_lower_bound():
     assert wall >= 3 * 2 * 0.01
 
 
-def test_server_host_forgets_finished_connection_threads():
-    def round_trip(link):
-        link.send(wire.make_ack(0, 0))  # P2 answers any frame, here with an Error
-        assert link.recv(timeout=5.0).msg_type is wire.MsgType.ERROR
+@pytest.mark.parametrize("kind", ["inproc", "socket"])
+def test_simulation_rekey_after_an_idle_p1_link(kind):
+    # The first prompt takes 6 rounds of two 20 ms sends, so P1's link is idle
+    # for longer than the 0.2 s timeout before the rekey deploys over it.
+    params = desk_params(62)
+    prompts = [[0, 1], [2, 3], [4, 5]]
+    local = [greedy_generate(params, p, 6) for p in prompts]
+    before = set(threading.enumerate())
+    streams, _ = run_simulation(
+        params, prompts, 6, transport_kind=kind, latency=0.02, seed=63,
+        rekey_between=True, timeout=0.2,
+    )
+    assert streams == local
+    assert set(threading.enumerate()) <= before  # no serve thread outlives the run
 
-    hub = _ServerHost(ServerParty(), "socket", 0.0, 5.0)
+
+def _answers(link):
+    link.send(wire.make_ack(0, 0))  # P2 answers any frame, here with an Error
+    return link.recv(timeout=5.0).msg_type is wire.MsgType.ERROR
+
+
+@pytest.mark.parametrize("kind", ["inproc", "socket"])
+def test_server_host_serves_exactly_two_links_until_shutdown(kind):
+    hub = _ServerHost(ServerParty(), kind, 0.0, 5.0)
     try:
-        idle = threading.active_count()
-        for _ in range(4):
-            link = hub.client_link("p3")
-            round_trip(link)
-            hub.release(link)
-            deadline = time.monotonic() + 5.0
-            while threading.active_count() > idle:
-                assert time.monotonic() < deadline, "serve thread did not end"
-                time.sleep(0.01)
-        link = hub.client_link("p3")
-        round_trip(link)
-        assert len(hub._threads) <= 2  # the acceptor and the live connection
-        hub.release(link)
+        assert len(hub._threads) == 2
+        assert all(t.is_alive() for t in hub._threads)
+        assert _answers(hub.p1_link) and _answers(hub.p3_link)
     finally:
         hub.shutdown()
+    assert not any(t.is_alive() for t in hub._threads)
 
 
-def test_server_host_closes_connections_past_the_cap(monkeypatch):
-    monkeypatch.setattr(stip.protocol, "MAX_CONNECTIONS", 2)
+def test_server_host_closes_its_listeners_before_serving(monkeypatch):
+    listeners = []
 
-    def round_trip(link):
-        link.send(wire.make_ack(0, 0))  # P2 answers any frame, here with an Error
-        assert link.recv(timeout=5.0).msg_type is wire.MsgType.ERROR
+    def capture(host, port):
+        srv = stip.transport.listen(host, port)
+        listeners.append((srv, srv.getsockname()[1]))
+        return srv
 
+    monkeypatch.setattr(stip.protocol, "listen", capture)
     hub = _ServerHost(ServerParty(), "socket", 0.0, 5.0)
-    links = []
     try:
-        for _ in range(2):
-            links.append(hub.client_link("p3"))
-            round_trip(links[-1])
-        links.append(hub.client_link("p3"))
-        with pytest.raises(TransportError, match="closed"):
-            links[-1].recv(timeout=5.0)  # the acceptor closed it unserved
-        for link in links[:2]:
-            round_trip(link)  # the open connections keep serving
-        assert len(hub._threads) == 3  # the acceptor and two connections
-        # a connection that ends frees its slot
-        hub.release(links.pop(0))
-        deadline = time.monotonic() + 5.0
-        while sum(t.is_alive() for t in hub._threads) > 2:
-            assert time.monotonic() < deadline, "serve thread did not end"
-            time.sleep(0.01)
-        links.append(hub.client_link("p3"))
-        round_trip(links[-1])
+        assert len(listeners) == 2  # one per link
+        for srv, port in listeners:
+            assert srv.fileno() == -1
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port), timeout=5.0)
+        assert _answers(hub.p1_link) and _answers(hub.p3_link)
     finally:
-        for link in links:
-            hub.release(link)
         hub.shutdown()
 
 

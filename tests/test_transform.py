@@ -77,23 +77,14 @@ def test_set_moe_cardinality():
     assert all(len(lp.pi3s) == 4 for lp in pset.per_layer)
 
 
-def test_shared_private_partition():
-    cfg = make_config()
-    pset = gen_permutation_set(cfg, 8)
-    shared = pset.shared_part()
-    assert set(shared) == {"pi", "pi_c"}
-    private = pset.private_part()
-    assert len(private) == cfg.n_layers
-
-
 def test_identity_set_flag():
-    cfg = make_config()
+    cfg = make_config(n_experts=3)
     pset = gen_permutation_set(cfg, 9, identity=True)
-    assert pset.pi.is_identity and pset.pi_c.is_identity
-    assert all(
-        lp.pi1.is_identity and lp.pi2.is_identity and lp.pi3.is_identity
-        for lp in pset.per_layer
-    )
+    assert pset.pi.is_identity() and pset.pi_c.is_identity()
+    for lp in pset.per_layer:
+        assert lp.pi1.is_identity() and lp.pi2.is_identity()
+        assert len(lp.pi3s) == 3 and all(pi3.is_identity() for pi3 in lp.pi3s)
+    assert not gen_permutation_set(cfg, 9).pi.is_identity()
 
 
 # --- layer transform -------------------------------------------------------

@@ -12,7 +12,9 @@ quartiles of each metric and the change's win count (direction from
 `BENCHMARK.json`). Results go under `workloads.<name>` (or
 `traced.<name>` with `--trace 1`) of `BENCH_<topic>.json` in the current
 directory; a file that already exists keeps its other workloads, so one file
-collects several calls.
+collects several calls. A call for a workload the file already holds appends
+its pairs after the earlier ones and summarizes all of them; if the earlier
+runs used another `--seconds`, it exits 2 and leaves the file as it was.
 """
 
 import argparse
@@ -141,26 +143,33 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
+    out = Path(f"BENCH_{args.topic}.json")
+    doc = json.loads(out.read_text()) if out.exists() else {"topic": args.topic}
+    command = (f"python3 perfbench/run.py --workload {args.workload} --seed <seed> "
+               f"--seconds {args.seconds:g} --trace {args.trace}")
+    section = doc.setdefault("traced" if args.trace else "workloads", {})
+    earlier = section.get(args.workload, {"command": command, "seeds": [], "runs": []})
+    if earlier["command"] != command:
+        p.error(f"{out} holds {args.workload} runs of `{earlier['command']}`; "
+                f"runs of `{command}` do not pair with them")
+    first_pair = len(earlier["seeds"])
     checkouts = {"parent": args.parent, "change": args.change}
     runs = []
     for i in range(args.pairs):
-        seed = args.seed + i
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair, seed = first_pair + i, args.seed + i
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
             r = run_once(checkouts[side], args.workload, seed, args.seconds, args.trace)
-            runs.append({"pair": i, "seed": seed, "side": side, "first": order[0], **r})
-            print(f"pair {i} seed {seed} {side}: correct={r['correct']} "
+            runs.append({"pair": pair, "seed": seed, "side": side, "first": order[0], **r})
+            print(f"pair {pair} seed {seed} {side}: correct={r['correct']} "
                   f"wall={r['wall_s']}s", file=sys.stderr, flush=True)
-    out = Path(f"BENCH_{args.topic}.json")
-    doc = json.loads(out.read_text()) if out.exists() else {"topic": args.topic}
     doc["host"] = host()
-    section = "traced" if args.trace else "workloads"
-    doc.setdefault(section, {})[args.workload] = {
-        "command": f"python3 perfbench/run.py --workload {args.workload} --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace {args.trace}",
-        "seeds": [args.seed + i for i in range(args.pairs)],
-        "summary": summarize(runs, metric_directions(args.change)),
-        "runs": runs,
+    all_runs = earlier["runs"] + runs
+    section[args.workload] = {
+        "command": command,
+        "seeds": earlier["seeds"] + [args.seed + i for i in range(args.pairs)],
+        "summary": summarize(all_runs, metric_directions(args.change)),
+        "runs": all_runs,
     }
     out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0 if all(r["correct"] for r in runs) else 1
