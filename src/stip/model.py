@@ -185,22 +185,24 @@ def random_custom_mask(n, seed, block_prob=0.3):
     return Mask(MaskKind.CUSTOM, values)
 
 
-def mask_values_for(mask, n, past=0):
+def mask_values_for(mask, n, past=0, last_row=False):
     """The additive n x (past + n) mask matrix, or None when nothing is masked.
 
     A single causal row sees every column up to itself, so it needs no mask.
+    With last_row, only the last of the n rows: none for a causal mask, whose
+    last row sees every column.
     """
     if mask.kind is MaskKind.NONE:
         return None
     if mask.kind is MaskKind.CAUSAL:
-        return causal_mask_values(n, past) if n > 1 else None
+        return causal_mask_values(n, past) if n > 1 and not last_row else None
     if past:
         raise InvalidConfigError("a custom mask has a fixed size; it cannot extend a cache")
     if mask.values.shape[0] != n:
         raise InvalidDimensionError(
             f"custom mask is {mask.values.shape[0]}x{mask.values.shape[0]}, need {n}"
         )
-    return mask.values
+    return mask.values[-1:] if last_row else mask.values
 
 
 def embed(token_ids, table):
@@ -273,15 +275,17 @@ class KVCache:
         self.layers = [LayerKV() for _ in range(n_layers)]
 
 
-def attention(x, w, mask, scale, kv=None):
+def attention(x, w, mask, scale, kv=None, last_row=False):
     """SoftMax(QKᵀ/√k + M)·V·W_o with Q=xW_q, K=xW_k, V=xW_v.
 
     With a LayerKV, x holds the rows after the cached ones: K and V cover the
     cached rows and x, Q covers x only, and kv gains x's keys and values.
+    With last_row, Q and the output cover x's last row only; K and V still
+    cover every row.
     """
     x = as_matrix(x)
     n = x.shape[0]
-    q = matmul(x, w.w_q)
+    q = matmul(x[-1:] if last_row else x, w.w_q)
     k = matmul(x, w.w_k)
     v = matmul(x, w.w_v)
     past = 0
@@ -289,7 +293,7 @@ def attention(x, w, mask, scale, kv=None):
         past = kv.rows
         k, v = kv.append(k, v)
     scores = matmul(q, k.T) / np.float32(math.sqrt(scale))
-    mv = mask_values_for(mask, n, past)
+    mv = mask_values_for(mask, n, past, last_row)
     if mv is not None:
         scores = scores + mv
     return matmul(matmul(softmax_rows(scores), v), w.w_o)
@@ -358,20 +362,24 @@ def _ffn_dispatch(v, w, cfg, top_k):
     return ffn_forward(v, w.ffn, cfg.ffn_kind)
 
 
-def layer_forward(x, w, cfg, mask, top_k=MOE_TOP_K, kv=None):
+def layer_forward(x, w, cfg, mask, top_k=MOE_TOP_K, kv=None, last_row=False):
     """One Transformer layer in the configured placement.
 
     post: v = norm(attn(x) + x), y = norm(ffn(v) + v)
     pre:  v = attn(norm(x)) + x, y = ffn(norm(v)) + v
 
     kv, a LayerKV, makes x the rows after the cached ones (see `attention`).
+    last_row makes y the output's last row alone: only K and V (and, pre-norm,
+    the norm feeding them) run on every row.
     """
     x = as_matrix(x)
     if x.shape[1] != cfg.d_model:
         raise InvalidDimensionError(f"input cols {x.shape[1]} != d_model {cfg.d_model}")
     post = cfg.norm_placement is NormPlacement.POST
     attn_in = x if post else _norm(x, w.gamma_1, w.beta_1, cfg)
-    u = attention(attn_in, w, mask, cfg.attn_scale, kv)
+    u = attention(attn_in, w, mask, cfg.attn_scale, kv, last_row)
+    if last_row:
+        x = x[-1:]
     if post:
         v = _norm(u + x, w.gamma_1, w.beta_1, cfg)
         ffn_in = v
@@ -382,11 +390,17 @@ def layer_forward(x, w, cfg, mask, top_k=MOE_TOP_K, kv=None):
     return _norm(z + v, w.gamma_2, w.beta_2, cfg) if post else z + v
 
 
-def model_forward(x, params, mask, top_k=MOE_TOP_K, cache=None):
+def model_forward(x, params, mask, top_k=MOE_TOP_K, cache=None, last_row=False):
     """All layers then the softmax classifier; rows of the output sum to 1.
 
     With a KVCache, x continues the sequence the cache holds, the output
     covers x's rows only, and the cache then holds x as well.
+
+    last_row returns the output's last row alone, as one row, for a caller
+    that reads nothing else (a greedy step, a TOP1 reply). Every layer but the
+    last runs as usual; the last one computes K and V over every row, so the
+    cache is extended exactly as by a full pass, and Q, W_o, the norms, the
+    FFN/MoE and the classifier over the last row only.
     """
     cfg = params.config
     y = as_matrix(x)
@@ -401,11 +415,13 @@ def model_forward(x, params, mask, top_k=MOE_TOP_K, cache=None):
             y = cache.inputs.append(y)
         else:
             kvs = cache.layers
-    for w, kv in zip(params.layers, kvs):
-        y = layer_forward(y, w, cfg, mask, top_k, kv)
+    last = len(params.layers) - 1
+    for i, (w, kv) in enumerate(zip(params.layers, kvs)):
+        y = layer_forward(y, w, cfg, mask, top_k, kv, last_row and i == last)
     if cache is not None:
         cache.rows += new_rows
-        y = y[y.shape[0] - new_rows :]
+        if not last_row:
+            y = y[y.shape[0] - new_rows :]
     return softmax_rows(matmul(y, params.w_c))
 
 
@@ -432,7 +448,8 @@ def greedy_generate(params, prompt_ids, max_tokens, top_k=MOE_TOP_K):
     new = [int(t) for t in prompt_ids]
     out = []
     for _ in range(max_tokens):
-        o = model_forward(embed(new, params.embedding), params, mask, top_k, cache=cache)
+        x = embed(new, params.embedding)
+        o = model_forward(x, params, mask, top_k, cache=cache, last_row=True)
         new = [greedy_decode_step(o)]
         out.extend(new)
     return out

@@ -12,7 +12,12 @@ Generation is incremental: P3 sends the whole prompt once (a prefill), then
 one row per generated token. P2 keeps the sequence's K′/V′ per link, so a
 decode step costs one row of wire traffic and one row of model work. Each
 round asks for a TOP1 reply: P2 names the permuted indices where o′'s last
-row is largest, not the whole 1×s row.
+row is largest, not the whole 1×s row. Since only that row is read, a TOP1
+round runs the last layer on the last row alone, past its K′/V′, which cover
+every row because later steps attend to them.
+
+P2 serves each link in one party's role: P1's link may deploy and re-key,
+P3's link may only ask for inference.
 """
 
 import dataclasses
@@ -53,6 +58,13 @@ from .transport import accept, connect, inproc_pair, listen
 RECV_TIMEOUT = 30.0
 
 _log = logging.getLogger(__name__)
+
+# Frames P2 accepts on a link of each role: P1 deploys and re-keys, P3 asks
+# for inference. A link with no role accepts all three.
+LINK_ROLES = {
+    "P1": frozenset({wire.MsgType.DEPLOY_MODEL, wire.MsgType.REKEY}),
+    "P3": frozenset({wire.MsgType.INFER_REQUEST}),
+}
 
 # Fault -> Error frame code, first match wins; anything else is INTERNAL.
 _ERROR_CODES = (
@@ -211,7 +223,10 @@ class ServerParty:
         """InferRequest -> InferResponse at the current epoch, in the request's reply mode.
 
         Mode ALL replies with o′, one row per request row; mode TOP1 with the
-        indices where o′'s last row equals its maximum. A prefill (start 0)
+        indices where o′'s last row equals its maximum. A TOP1 round computes
+        that row alone (`model_forward`'s last_row): the last layer computes
+        K′ and V′ over every row, for the cache, and Q′, W_o, the norms, the
+        FFN/MoE and the classifier over the last row only. A prefill (start 0)
         replaces the link's cache; a decode step (start > 0) extends it and
         must name exactly the rows the cache holds. Without a cache (a direct
         call) only a prefill can be served, and nothing is kept.
@@ -255,8 +270,9 @@ class ServerParty:
             kv = cache.kv
         mask = make_mask(cfg.mask_kind, n=x.shape[0])
         try:
-            o = model_forward(x, model, mask, MOE_TOP_K, cache=kv)
-            if mode == wire.ReplyMode.TOP1:
+            top1 = mode == wire.ReplyMode.TOP1
+            o = model_forward(x, model, mask, MOE_TOP_K, cache=kv, last_row=top1)
+            if top1:
                 top = _argmax_set(o[-1])
                 return wire.make_top1_response(top, epoch, frame.session_id)
         except BaseException:
@@ -274,11 +290,15 @@ class ServerParty:
             return self.serve(frame, cache)
         raise ProtocolError(f"server cannot handle {frame.msg_type.name}")
 
-    def serve_loop(self, transport, timeout=RECV_TIMEOUT):
+    def serve_loop(self, transport, timeout=RECV_TIMEOUT, role=None):
         """Answer frames until the peer closes; every fault becomes an Error frame.
 
+        `role`, "P1" or "P3", binds the link to the frames that party may send
+        (`LINK_ROLES`); any other frame gets an UNSUPPORTED Error frame and
+        changes nothing. With no role the link accepts every frame P2 handles.
         The link's decoding cache lives here and is dropped with the link.
         """
+        allowed = None if role is None else LINK_ROLES[role]
         cache = LinkCache()
         while True:
             try:
@@ -294,6 +314,10 @@ class ServerParty:
                     pass
                 return
             try:
+                if allowed is not None and frame.msg_type not in allowed:
+                    raise ProtocolError(
+                        f"a {role} link cannot send {frame.msg_type.name}"
+                    )
                 reply = self.handle(frame, cache)
             except Exception as exc:  # the connection outlives any one request
                 reply = _error_reply(exc, frame)
@@ -465,6 +489,9 @@ def _expect_ack(frame):
 class _ServerHost:
     """Runs a ServerParty on exactly two client links, `p1_link` and `p3_link`.
 
+    Each link is served in its party's role (`LINK_ROLES`): P3's link cannot
+    deploy or re-key, and P1's cannot ask for inference.
+
     Both links are opened here: an `inproc_pair` each, or over TCP a
     `listen` -> `connect` -> `accept` per link, whose listener is closed
     before any frame is sent, so no other peer can connect. P2 serves each
@@ -478,13 +505,15 @@ class _ServerHost:
         self._threads = []
         links = []
         try:
-            for _ in range(2):
+            for role in ("P1", "P3"):
                 if transport_kind == "inproc":
                     near, far = inproc_pair(latency)
                 else:
                     near, far = self._tcp_pair(host, latency)
                 links.append(near)
-                t = threading.Thread(target=self._serve, args=(far,), daemon=True)
+                t = threading.Thread(
+                    target=self._serve, args=(far, role), daemon=True
+                )
                 t.start()
                 self._threads.append(t)
         except BaseException:
@@ -502,8 +531,8 @@ class _ServerHost:
                 near.close()
                 raise
 
-    def _serve(self, conn):
-        self.p2.serve_loop(conn, timeout=None)
+    def _serve(self, conn, role):
+        self.p2.serve_loop(conn, timeout=None, role=role)
         conn.close()
 
     def shutdown(self):

@@ -144,6 +144,10 @@ class LayerSteps:
     call, with Q, K, V (attention input times W_q, W_k, W_v), u (attention
     output), v (the residual stream entering the FFN sublayer), z (FFN
     output) and y (layer output).
+
+    A last-row layer (`model_forward(..., last_row=True)`) computes u from
+    the last row of Q alone, so Q and v cover the rows u covers; K and V
+    cover every row.
     """
 
     def __init__(self):
@@ -157,12 +161,13 @@ class LayerSteps:
     def _steps(t):
         w = t["w"]
         post = t["cfg"].norm_placement is NormPlacement.POST
+        rows = t["u"].shape[0]
         return {
-            "Q": matmul(t["attn_in"], w.w_q),
+            "Q": matmul(t["attn_in"][-rows:], w.w_q),
             "K": matmul(t["attn_in"], w.w_k),
             "V": matmul(t["attn_in"], w.w_v),
             "u": t["u"],
-            "v": t["ffn_in"] if post else t["u"] + as_matrix(t["x"]),
+            "v": t["ffn_in"] if post else t["u"] + as_matrix(t["x"])[-rows:],
             "z": t["z"],
             "y": t["y"],
         }

@@ -44,6 +44,7 @@ from stip.protocol import (
     LinkCache,
     ServerParty,
     Transcript,
+    _argmax_set,
     run_simulation,
 )
 from stip.transform import gen_permutation_set, para_trans
@@ -144,6 +145,67 @@ def test_cached_chunks_equal_full_forward_plain_and_permuted(
             assert np.max(np.abs(cached - full)) <= 1e-5
             assert np.array_equal(np.argmax(cached, axis=1), np.argmax(full, axis=1))
         assert cache.rows == n
+
+
+@pytest.mark.parametrize(
+    "mask_kind", [MaskKind.CAUSAL, MaskKind.NONE], ids=["causal", "none"]
+)
+@pytest.mark.parametrize("variant", sorted(VARIANT_CONFIGS))
+@given(
+    n=st.integers(1, 12),
+    steps=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_last_row_forward_equals_full_pass_plain_and_permuted(
+    variant, mask_kind, n, steps, seed
+):
+    """A last-row prefill and last-row steps give the full pass's last row bit
+    for bit, and leave the cache as a full pass does: a full-path step after
+    a last-row prefill equals the same step after a full prefill."""
+    cfg = make_config(n_layers=3, mask_kind=mask_kind, **VARIANT_CONFIGS[variant])
+    params = gen_model(cfg, seed)
+    pset = gen_permutation_set(cfg, seed + 1)
+    x = np.random.default_rng(seed).normal(size=(n + sum(steps), cfg.d_model))
+    x = x.astype(F32)
+    mask = make_mask(mask_kind)
+    for model, rows in (
+        (params, x),
+        (para_trans(params, pset), apply_col_perm(x, pset.pi)),
+    ):
+        full_cache, last_cache = KVCache(cfg.n_layers), KVCache(cfg.n_layers)
+        a = 0
+        for i, b in enumerate(np.cumsum([n, *steps])):
+            full = model_forward(rows[a:b], model, mask, cache=full_cache)
+            # the first step after the last-row prefill runs the full path
+            last_row = i != 1
+            last = model_forward(
+                rows[a:b], model, mask, cache=last_cache, last_row=last_row
+            )
+            assert last.shape == ((1 if last_row else b - a), cfg.vocab_size)
+            assert np.array_equal(last, full[-last.shape[0] :])
+            assert np.array_equal(_argmax_set(last[-1]), _argmax_set(full[-1]))
+            a = b
+        assert full_cache.rows == last_cache.rows == a
+
+
+@pytest.mark.parametrize(
+    "mask_kind", [MaskKind.CAUSAL, MaskKind.NONE], ids=["causal", "none"]
+)
+@pytest.mark.parametrize("variant", sorted(VARIANT_CONFIGS))
+def test_top1_reply_names_the_argmax_set_of_the_all_reply(variant, mask_kind):
+    cfg = make_config(mask_kind=mask_kind, **VARIANT_CONFIGS[variant])
+    params = gen_model(cfg, 52)
+    _, p2, p3 = deployed(params, seed=53)
+    top1_link, all_link = LinkCache(), LinkCache()
+    ids = [3, 1, 4, 1, 5, 9, 2, 6]
+    for start, rows in ((0, ids[:5]), (5, ids[5:6]), (6, ids[6:8])):
+        top1 = p2.serve(p3.infer_request(rows, start, TOP1), top1_link)
+        full = p2.serve(p3.infer_request(rows, start), all_link)
+        o = wire.decode_matrix(full.payload)
+        assert o.shape[0] == len(rows)
+        got = wire.decode_top1_response(top1.payload, cfg.vocab_size)
+        assert np.array_equal(got, _argmax_set(o[-1]))
+    assert top1_link.kv.rows == all_link.kv.rows == len(ids)
 
 
 def full_recompute_generate(params, prompt_ids, max_tokens):

@@ -463,6 +463,33 @@ def test_model_forward_single_layer_composition():
     assert np.allclose(out, oracle, atol=1e-6)
 
 
+@pytest.mark.parametrize("mask_kind", list(MaskKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", sorted(VARIANT_CONFIGS))
+def test_last_row_forward_restricts_the_last_layer_but_k_and_v(
+    name, mask_kind, layer_steps
+):
+    cfg = make_config(n_layers=3, **VARIANT_CONFIGS[name])
+    params = gen_model(cfg, 61)
+    n = 6
+    x = randm((n, cfg.d_model), 62)
+    mask = make_mask(mask_kind, n, seed=63)
+    full = model_forward(x, params, mask)
+    full_steps = layer_steps.take()
+    last = model_forward(x, params, mask, last_row=True)
+    steps = layer_steps.take()
+    assert last.shape == (1, cfg.vocab_size)
+    assert np.array_equal(last, full[-1:])
+    assert len(steps) == len(full_steps) == cfg.n_layers
+    for i, (f, s) in enumerate(zip(full_steps, steps)):
+        rows = 1 if i == cfg.n_layers - 1 else n
+        for key in ("Q", "u", "v", "z", "y"):
+            assert s[key].shape == (rows, cfg.d_model)
+            assert np.array_equal(s[key], f[key][-rows:])
+        for key in ("K", "V"):
+            assert s[key].shape == (n, cfg.d_model)
+            assert np.array_equal(s[key], f[key])
+
+
 def test_model_forward_rows_are_distributions():
     cfg = make_config()
     params = gen_model(cfg, 47)

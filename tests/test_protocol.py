@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 import stip.protocol
 import stip.transport
@@ -500,6 +502,144 @@ def test_server_host_serves_exactly_two_links_until_shutdown(kind):
     finally:
         hub.shutdown()
     assert not any(t.is_alive() for t in hub._threads)
+
+
+def _ask(link, frame):
+    link.send(frame)
+    return link.recv(timeout=5.0)
+
+
+def _refused(reply):
+    assert reply.msg_type is wire.MsgType.ERROR
+    return wire.decode_error_payload(reply.payload)[0] == wire.ErrorCode.UNSUPPORTED
+
+
+@pytest.mark.parametrize("kind", ["inproc", "socket"])
+def test_server_host_binds_each_link_to_its_partys_frames(kind):
+    params = desk_params(64)
+    p1 = DeveloperParty(params, session_seed=65)
+    p2 = ServerParty()
+    p3 = DataOwnerParty(params.embedding, session_seed=66)
+    rogue = DeveloperParty(desk_params(67), session_seed=68)
+    rogue.initialize(69)
+    rogue_model, rogue_keys = rogue.initialize(70)  # epoch 2: would advance P2's
+    top1 = wire.ReplyMode.TOP1
+    prompt = [1, 2, 3]
+    hub = _ServerHost(p2, kind, 0.0, 5.0)
+    try:
+        stip.protocol.deploy(hub.p1_link, p3, *p1.initialize(71))
+        model = p2.model
+        first = _ask(hub.p3_link, p3.infer_request(prompt, mode=top1))
+        assert first.msg_type is wire.MsgType.INFER_RESPONSE
+        retire_live = wire.make_rekey(p2.epoch + 1, p2.epoch, p3.session_id)
+        for frame in (rogue_model, retire_live, rogue_keys):
+            assert _refused(_ask(hub.p3_link, frame))
+        assert (p2.model, p2.epoch, p2.active, p2.deployments) == (model, 1, True, 1)
+        # the link's cache survived: a step continuing the prefill is served
+        step = p3.infer_request([4], start=len(prompt), mode=top1)
+        assert _ask(hub.p3_link, step).msg_type is wire.MsgType.INFER_RESPONSE
+        assert _refused(_ask(hub.p1_link, p3.infer_request(prompt, mode=top1)))
+        local = greedy_generate(params, prompt, 5)
+        assert p3.generate(prompt, 5, hub.p3_link, timeout=5.0) == local
+        stip.protocol.deploy(hub.p1_link, p3, *p1.rekey(72))
+        assert p2.epoch == 2
+        assert p3.generate(prompt, 5, hub.p3_link, timeout=5.0) == local
+    finally:
+        hub.shutdown()
+    assert not any(t.is_alive() for t in hub._threads)
+
+
+class RoleBoundLinks(RuleBasedStateMachine):
+    """Valid and malformed frames interleaved on P1's and P3's links.
+
+    Each frame gets exactly one reply, both serve threads stay alive, and
+    after any sequence a fresh prefill gets the reply a freshly deployed
+    server gives.
+    """
+
+    params = desk_params(80)
+
+    def __init__(self):
+        super().__init__()
+        self.p1 = DeveloperParty(self.params, session_seed=81)
+        self.p2 = ServerParty()
+        self.p3 = DataOwnerParty(self.params.embedding, session_seed=82)
+        self.hub = _ServerHost(self.p2, "inproc", 0.0, 5.0)
+        self.to_p2 = None
+        self.deploy(83)  # also sets self.rows, the rows P3's link holds
+
+    @rule(seed=st.integers(0, 2**16))
+    def deploy(self, seed):
+        keyed = self.p1.initialize if self.to_p2 is None else self.p1.rekey
+        self.to_p2, to_p3 = keyed(seed)
+        stip.protocol.deploy(self.hub.p1_link, self.p3, self.to_p2, to_p3, timeout=5.0)
+        self.rows = 0  # P3's link cache, if any, belongs to a retired deployment
+
+    @rule(prompt=st.lists(st.integers(0, 11), min_size=1, max_size=4))
+    def prefill(self, prompt):
+        req = self.p3.infer_request(prompt, mode=wire.ReplyMode.TOP1)
+        assert _ask(self.hub.p3_link, req).msg_type is wire.MsgType.INFER_RESPONSE
+        self.rows = len(prompt)
+
+    @precondition(lambda self: self.rows > 0)
+    @rule(token=st.integers(0, 11))
+    def step(self, token):
+        req = self.p3.infer_request([token], start=self.rows, mode=wire.ReplyMode.TOP1)
+        assert _ask(self.hub.p3_link, req).msg_type is wire.MsgType.INFER_RESPONSE
+        self.rows += 1
+
+    @rule(kind=st.sampled_from(["deploy", "rekey", "keys"]))
+    def p3_sends_p1_frame(self, kind):
+        epoch, sid = self.p2.epoch, self.p3.session_id
+        frames = {
+            "deploy": wire.make_deploy_model(self.to_p2.payload, epoch + 1, sid),
+            "rekey": wire.make_rekey(epoch + 1, epoch, sid),
+            "keys": wire.make_deploy_keys(b"keys", epoch + 1, sid),
+        }
+        assert _refused(_ask(self.hub.p3_link, frames[kind]))
+        assert (self.p2.epoch, self.p2.active) == (epoch, True)
+
+    @rule(prompt=st.lists(st.integers(0, 11), min_size=1, max_size=4))
+    def p1_sends_inference(self, prompt):
+        req = self.p3.infer_request(prompt, mode=wire.ReplyMode.TOP1)
+        assert _refused(_ask(self.hub.p1_link, req))
+
+    @rule(cut=st.integers(0, 2**16))
+    def truncated_request(self, cut):
+        # cut inside the matrix: the declared rows never arrive
+        req = self.p3.infer_request([1, 2], mode=wire.ReplyMode.TOP1)
+        end = wire.MATRIX_PREFIX_SIZE + 4 * 2 * self.params.config.d_model
+        payload = req.payload[: cut % end]
+        frame = wire.Frame(req.msg_type, req.epoch, req.session_id, payload)
+        reply = _ask(self.hub.p3_link, frame)
+        assert wire.decode_error_payload(reply.payload)[0] == wire.ErrorCode.MALFORMED
+
+    @rule(junk=st.binary(max_size=64))
+    def garbage_deploy(self, junk):
+        frame = wire.make_deploy_model(junk, self.p2.epoch + 1, self.p3.session_id)
+        reply = _ask(self.hub.p1_link, frame)
+        assert wire.decode_error_payload(reply.payload)[0] == wire.ErrorCode.MALFORMED
+
+    @invariant()
+    def serve_threads_alive(self):
+        assert all(t.is_alive() for t in self.hub._threads)
+
+    def teardown(self):
+        try:
+            req = self.p3.infer_request([0, 1, 2], mode=wire.ReplyMode.TOP1)
+            got = _ask(self.hub.p3_link, req)
+            fresh = ServerParty()
+            fresh.handle_deploy(self.to_p2)
+            assert bytes(got.payload) == bytes(fresh.serve(req).payload)
+            for link in (self.hub.p1_link, self.hub.p3_link):
+                with pytest.raises(TransportError):  # no reply left unread
+                    link.recv(timeout=0.01)
+        finally:
+            self.hub.shutdown()
+        assert not any(t.is_alive() for t in self.hub._threads)
+
+
+test_role_bound_links_survive_any_frame_sequence = RoleBoundLinks.TestCase
 
 
 def test_server_host_closes_its_listeners_before_serving(monkeypatch):
