@@ -6,8 +6,9 @@ hot paths (`to_matrix` exists for test oracles).
 
 `matmul` is the one exception to float32 inputs: it takes a 2-D float32 or
 float64 ndarray as it is and computes in float64, so a float64 operand is
-never rounded through float32 (the decoding cache keeps K′/V′ rows that way).
-Every result is float32.
+never rounded through float32. Two kinds of operand arrive as float64: the
+K′/V′ rows of the decoding cache, and the dense weight matrices P2 widens
+once per deployment (`protocol.ServerParty`). Every result is float32.
 """
 
 import numpy as np
@@ -160,8 +161,9 @@ def matmul(a, b):
     A 2-D float32 or float64 ndarray operand is used as it is, so a float64
     operand reaches the float64 product unrounded; any other input is coerced
     by `as_matrix` (a 1-D input becomes 1×n). Float32 operands are widened
-    with one cast each, float64 ones not at all. The same values given as
-    float32 or as float64 give the same bytes.
+    with one cast each, float64 ones not at all: the cached K′/V′ rows and
+    P2's widened weight matrices skip the cast on every call. The same values
+    given as float32 or as float64 give the same bytes.
     """
     a = _matmul_operand(a)
     b = _matmul_operand(b)

@@ -16,6 +16,14 @@ row is largest, not the whole 1×s row. Since only that row is read, a TOP1
 round runs the last layer on the last row alone, past its K′/V′, which cover
 every row because later steps attend to them.
 
+P2 widens the dense matrices of each deployed θ′ to float64 once, in place,
+at the first inference request it serves for that deployment: W′_q, W′_k,
+W′_v and W′_o of every layer, a dense layer's W′_1/W′_2/W′_3, and W′_c. The
+engine computes its products in float64, so a one-row step no longer casts
+each of these on every call; the values, and so every output bit, are the
+same. MoE experts, W′_g and the norm vectors stay float32, and so do the
+container and `state_bytes()`.
+
 P2 serves each link in one party's role: P1's link may deploy and re-key,
 P3's link may only ask for inference.
 """
@@ -183,7 +191,13 @@ class LinkCache:
 
 
 class ServerParty:
-    """P2: runs the transformed model verbatim; knows no permutation and no embedding."""
+    """P2: runs the transformed model verbatim; knows no permutation and no embedding.
+
+    A deploy installs θ′ as decoded, in float32. The first inference request
+    served for that deployment widens its dense matrices to float64 in place
+    (`_widen_dense`), so the deploy itself pays nothing for it and the
+    container is gone by then; each later deploy starts over in float32.
+    """
 
     role = "Server"
 
@@ -192,6 +206,7 @@ class ServerParty:
         self.epoch = None
         self.active = False
         self.deployments = 0  # ties a link's cache to the model it was built on
+        self.widened = False  # the current model's dense matrices are float64
         self._lock = threading.RLock()
 
     def handle_deploy(self, frame):
@@ -206,6 +221,7 @@ class ServerParty:
             if model.embedding is not None:
                 raise ProtocolError("a deployed model must not carry the embedding table")
             self.model = model
+            self.widened = False
             self.epoch = frame.epoch
             self.active = True
             self.deployments += 1
@@ -230,6 +246,11 @@ class ServerParty:
         replaces the link's cache; a decode step (start > 0) extends it and
         must name exactly the rows the cache holds. Without a cache (a direct
         call) only a prefill can be served, and nothing is kept.
+
+        The first request accepted at a deployment's epoch widens that
+        model's dense matrices to float64 (`_widen_dense`), under the lock
+        and before any forward pass runs on it; a refused request widens
+        nothing.
         """
         if frame.msg_type is not wire.MsgType.INFER_REQUEST:
             raise ProtocolError(f"expected INFER_REQUEST, got {frame.msg_type.name}")
@@ -240,6 +261,9 @@ class ServerParty:
                 raise StaleEpochError(
                     f"request epoch {frame.epoch}, current epoch {self.epoch}"
                 )
+            if not self.widened:
+                _widen_dense(self.model)
+                self.widened = True
             model = self.model
             epoch = self.epoch
             deployment = self.deployments
@@ -453,6 +477,27 @@ class DataOwnerParty:
             out += self.pi.indices.astype("<u4").tobytes()
             out += self.pi_c.indices.astype("<u4").tobytes()
         return out
+
+
+def _widen_dense(model):
+    """Cast the model's dense matrices to float64 in place, one tensor at a time.
+
+    Widened: W_q, W_k, W_v and W_o of every layer, a dense layer's W_1, W_2
+    and W_3, and W_c; each float32 array is dropped as its copy replaces it,
+    so no more than one float32 matrix lives beside its copy at a time. `numerics.matmul` takes a
+    float64 operand as it is and computes in float64 anyway, so every product
+    gives the same bytes. MoE experts, W_g and the norm vectors stay float32:
+    the experts are most of an MoE model's bytes.
+    """
+    for w in model.layers:
+        for name in ("w_q", "w_k", "w_v", "w_o"):
+            setattr(w, name, getattr(w, name).astype(np.float64))
+        if w.ffn is not None:
+            for name in ("w1", "w2", "w3"):
+                t = getattr(w.ffn, name)
+                if t is not None:
+                    setattr(w.ffn, name, t.astype(np.float64))
+    model.w_c = model.w_c.astype(np.float64)
 
 
 def _argmax_set(row):

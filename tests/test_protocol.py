@@ -1,6 +1,7 @@
 """Three-party protocol: deployment, inference rounds, re-keying, partitions."""
 
 import gc
+import re
 import socket
 import threading
 import time
@@ -9,12 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 import stip.protocol
 import stip.transport
-from conftest import make_config
+from conftest import VARIANT_CONFIGS, make_config
 from stip import container, wire
 from stip.errors import (
     AbortedGenerationError,
@@ -23,17 +25,29 @@ from stip.errors import (
     StaleEpochError,
     TransportError,
 )
-from stip.model import MaskKind, embed, gen_model, greedy_generate, make_mask, model_forward
+from stip.model import (
+    FfnKind,
+    KVCache,
+    MaskKind,
+    NormKind,
+    NormPlacement,
+    embed,
+    gen_model,
+    greedy_generate,
+    make_mask,
+    model_forward,
+)
 from stip.numerics import apply_col_perm
 from stip.protocol import (
     DataOwnerParty,
     DeveloperParty,
     ServerParty,
     Transcript,
+    _argmax_set,
     _ServerHost,
     run_simulation,
 )
-from stip.transform import recover_output
+from stip.transform import para_trans, recover_output
 from stip.transport import inproc_pair
 
 F32 = np.float32
@@ -377,6 +391,159 @@ def test_serve_loop_drops_a_deploy_frame_once_it_has_answered():
         near.close()
         t.join(timeout=5)
     assert not t.is_alive()
+
+
+# --- P2's widened θ′ ---------------------------------------------------------------
+
+# Tensor names (container._tensor_map) P2 holds in float64 once widened.
+WIDE_TENSOR = re.compile(r"W_c|layers\.\d+\.W_[qkvo123]")
+
+# The four engine variants, plus an MoE model shaped like the benchmark's.
+WIDE_VARIANTS = {
+    **VARIANT_CONFIGS,
+    "moe_rms_swiglu": dict(
+        norm_kind=NormKind.RMSNORM,
+        norm_placement=NormPlacement.PRE,
+        ffn_kind=FfnKind.SWIGLU,
+        n_experts=4,
+    ),
+}
+
+
+def _dtypes(model):
+    return {name: t.dtype for name, t in container._tensor_map(model).items()}
+
+
+def _widened_on_first_request(p2, p3):
+    """Serve one prefill and return P2's model, now widened."""
+    assert not p2.widened
+    assert set(_dtypes(p2.model).values()) == {np.dtype(F32)}
+    p2.serve(p3.infer_request([0], mode=wire.ReplyMode.TOP1))
+    assert p2.widened
+    return p2.model
+
+
+@pytest.mark.parametrize("variant", sorted(WIDE_VARIANTS))
+def test_first_request_widens_exactly_the_dense_matrices(variant):
+    params = desk_params(130, **WIDE_VARIANTS[variant])
+    _, p2, p3 = deployed_parties(params, seed=131)
+    model = p2.model
+    before = p2.state_bytes()
+    assert _widened_on_first_request(p2, p3) is model
+    dtypes = _dtypes(model)
+    wide = {name for name in dtypes if WIDE_TENSOR.fullmatch(name)}
+    assert "W_c" in wide and "layers.0.W_q" in wide
+    assert not any(".experts." in name or name.endswith("W_g") for name in wide)
+    for name, dtype in dtypes.items():
+        assert dtype == (np.float64 if name in wide else F32), name
+    # the container format and what P2 would hand over do not change
+    assert p2.state_bytes() == before
+    assert set(_dtypes(container.decode_model(before)).values()) == {np.dtype(F32)}
+    # later requests find it widened and leave it be
+    p2.serve(p3.infer_request([1, 2]))
+    assert p2.model is model and _dtypes(model) == dtypes
+
+
+def test_redeploy_installs_float32_and_widens_again_at_its_first_request():
+    params = desk_params(132)
+    p1, p2, p3 = deployed_parties(params, seed=133)
+    first = _widened_on_first_request(p2, p3)
+    ids = [3, 1, 4]
+    before = p3.recover(p2.serve(p3.infer_request(ids)))
+    to_p2, to_p3 = p1.rekey(134)
+    p2.handle_deploy(to_p2)
+    p3.handle_deploy_keys(to_p3)
+    assert p2.model is not first
+    assert p2.state_bytes() == to_p2.payload
+    assert _widened_on_first_request(p2, p3) is not first
+    after = p3.recover(p2.serve(p3.infer_request(ids)))
+    assert np.max(np.abs(after - before)) <= 1e-4
+
+
+@pytest.mark.parametrize("widened", [False, True], ids=["float32", "widened"])
+def test_stale_epoch_request_is_refused_whether_or_not_widened(widened):
+    params = desk_params(135)
+    p1, p2, p3 = deployed_parties(params, seed=136)
+    old_req = p3.infer_request([0, 1])
+    to_p2, to_p3 = p1.rekey(137)
+    p2.handle_deploy(to_p2)
+    p3.handle_deploy_keys(to_p3)
+    if widened:
+        _widened_on_first_request(p2, p3)
+    with pytest.raises(StaleEpochError):
+        p2.serve(old_req)
+    assert p2.widened is widened
+    # a retired epoch is refused too, and a refused request widens nothing
+    req = p3.infer_request([0])
+    p1.rekey(138)
+    p2.handle_rekey(p1.rekey_notice())
+    with pytest.raises(StaleEpochError):
+        p2.serve(req)
+    assert p2.widened is widened
+    assert (_dtypes(p2.model)["W_c"] == np.float64) is widened
+
+
+@pytest.mark.parametrize("last_row", [False, True], ids=["all", "top1"])
+@pytest.mark.parametrize(
+    "mask_kind", [MaskKind.CAUSAL, MaskKind.NONE], ids=["causal", "none"]
+)
+@pytest.mark.parametrize("variant", sorted(WIDE_VARIANTS))
+@given(
+    n=st.integers(1, 10),
+    steps=st.lists(st.integers(1, 2), min_size=3, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_widened_theta_prime_equals_float32_plain_and_permuted(
+    variant, mask_kind, last_row, n, steps, seed
+):
+    """A prefill and cached steps on P2's widened θ′ give the float32 θ′'s
+    outputs bit for bit, and recover to the plain model's within 1e-4."""
+    cfg = make_config(n_layers=3, mask_kind=mask_kind, **WIDE_VARIANTS[variant])
+    params = gen_model(cfg, seed)
+    p1, p2, p3 = deployed_parties(params, seed=seed + 1)
+    wide = _widened_on_first_request(p2, p3)
+    narrow = para_trans(params, p1.pset)
+    x = np.random.default_rng(seed).normal(size=(n + sum(steps), cfg.d_model))
+    x = x.astype(F32)
+    xp = apply_col_perm(x, p1.pset.pi)
+    mask = make_mask(mask_kind)
+    caches = [KVCache(cfg.n_layers) for _ in range(3)]
+    a = 0
+    for b in np.cumsum([n, *steps]):
+        o_wide, o_narrow, o_plain = (
+            model_forward(rows[a:b], model, mask, cache=cache, last_row=last_row)
+            for rows, model, cache in zip(
+                (xp, xp, x), (wide, narrow, params), caches
+            )
+        )
+        assert np.array_equal(o_wide, o_narrow)
+        assert np.array_equal(_argmax_set(o_wide[-1]), _argmax_set(o_narrow[-1]))
+        assert np.max(np.abs(recover_output(o_wide, p1.pset.pi_c) - o_plain)) <= 1e-4
+        a = b
+    assert _dtypes(wide)["W_c"] == np.float64
+
+
+@pytest.mark.parametrize("kind", ["inproc", "socket"])
+@pytest.mark.parametrize("variant", ["post_ln_relu", "moe_rms_swiglu"])
+def test_widened_server_generates_local_greedy_tokens_across_a_rekey(kind, variant):
+    params = desk_params(140, n_layers=3, **WIDE_VARIANTS[variant])
+    p1 = DeveloperParty(params, session_seed=141)
+    p2 = ServerParty()
+    p3 = DataOwnerParty(params.embedding, session_seed=142)
+    prompts = ([1, 2, 3], [4, 5, 6, 7])
+    local = [greedy_generate(params, prompt, 6) for prompt in prompts]
+    hub = _ServerHost(p2, kind, 0.0, 5.0)
+    try:
+        for messages in (p1.initialize(143), p1.rekey(144)):
+            stip.protocol.deploy(hub.p1_link, p3, *messages, timeout=5.0)
+            model = p2.model
+            assert not p2.widened and model.w_c.dtype == F32
+            got = [p3.generate(prompt, 6, hub.p3_link, timeout=5.0) for prompt in prompts]
+            assert got == local
+            assert p2.widened and p2.model is model and model.w_c.dtype == np.float64
+    finally:
+        hub.shutdown()
+    assert not any(t.is_alive() for t in hub._threads)
 
 
 # --- knowledge partition ---------------------------------------------------------------
