@@ -135,7 +135,7 @@ def model_config_from(rc):
         d_model=rc.d_model,
         d_ff=rc.d_ff,
         vocab_size=rc.vocab_size,
-        attn_scale=rc.attn_scale if rc.attn_scale > 0 else float(rc.d_model),
+        attn_scale=rc.attn_scale if rc.attn_scale != 0 else float(rc.d_model),
         norm_kind=NormKind(rc.norm_kind),
         norm_placement=NormPlacement(rc.norm_placement),
         ffn_kind=FfnKind(rc.ffn_kind),

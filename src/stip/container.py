@@ -17,6 +17,7 @@ restored on read (`numerics.sanitize_neg_inf` / `restore_neg_inf`).
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -100,89 +101,64 @@ def _tensor_map(params):
     return out
 
 
-def _take(tensors, name):
+def _take(tensors, name, shape):
     if name not in tensors:
         raise CodecError(f"model file is missing tensor {name!r}")
-    return tensors.pop(name)
+    t = tensors.pop(name)
+    if t.shape != shape:
+        raise CodecError(f"{name} has shape {t.shape}, expected {shape}")
+    return t
 
 
 def _assemble_model(cfg, tensors):
     tensors = dict(tensors)
+    d, m, s = cfg.d_model, cfg.d_ff, cfg.vocab_size
     use_beta = cfg.norm_kind is NormKind.LAYERNORM
     has_w3 = cfg.ffn_kind is FfnKind.SWIGLU
-    embedding = tensors.pop("embedding", None)
+    embedding = None
+    if "embedding" in tensors:  # a served model has none
+        embedding = EmbeddingTable(_take(tensors, "embedding", (s, d)))
     layers = []
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
 
+        def take(name, shape):
+            return _take(tensors, f"{p}.{name}", shape)
+
         def ffn_at(prefix):
             return FfnWeights(
-                w1=_take(tensors, f"{prefix}.W_1"),
-                w2=_take(tensors, f"{prefix}.W_2"),
-                w3=_take(tensors, f"{prefix}.W_3") if has_w3 else None,
+                w1=take(f"{prefix}W_1", (d, m)),
+                w2=take(f"{prefix}W_2", (m, d)),
+                w3=take(f"{prefix}W_3", (d, m)) if has_w3 else None,
             )
 
         ffn = None
         experts = ()
         w_g = None
         if cfg.is_moe:
-            w_g = _take(tensors, f"{p}.W_g")
-            experts = tuple(ffn_at(f"{p}.experts.{j}") for j in range(cfg.n_experts))
+            w_g = take("W_g", (d, cfg.n_experts))
+            experts = tuple(ffn_at(f"experts.{j}.") for j in range(cfg.n_experts))
         else:
-            ffn = ffn_at(p)
+            ffn = ffn_at("")
         layers.append(
             LayerWeights(
-                w_q=_take(tensors, f"{p}.W_q"),
-                w_k=_take(tensors, f"{p}.W_k"),
-                w_v=_take(tensors, f"{p}.W_v"),
-                w_o=_take(tensors, f"{p}.W_o"),
+                w_q=take("W_q", (d, d)),
+                w_k=take("W_k", (d, d)),
+                w_v=take("W_v", (d, d)),
+                w_o=take("W_o", (d, d)),
                 ffn=ffn,
-                gamma_1=_take(tensors, f"{p}.gamma_1"),
-                gamma_2=_take(tensors, f"{p}.gamma_2"),
-                beta_1=_take(tensors, f"{p}.beta_1") if use_beta else None,
-                beta_2=_take(tensors, f"{p}.beta_2") if use_beta else None,
+                gamma_1=take("gamma_1", (d,)),
+                gamma_2=take("gamma_2", (d,)),
+                beta_1=take("beta_1", (d,)) if use_beta else None,
+                beta_2=take("beta_2", (d,)) if use_beta else None,
                 w_g=w_g,
                 experts=experts,
             )
         )
-    w_c = _take(tensors, "W_c")
+    w_c = _take(tensors, "W_c", (d, s))
     if tensors:
         raise CodecError(f"unexpected tensors in model file: {sorted(tensors)}")
-    if embedding is not None:
-        embedding = EmbeddingTable(embedding)
-    params = ModelParams(cfg, embedding, layers, w_c)
-    _check_shapes(params)
-    return params
-
-
-def _check_shapes(params):
-    cfg = params.config
-    d, m, s = cfg.d_model, cfg.d_ff, cfg.vocab_size
-    checks = [(params.w_c, (d, s), "W_c")]
-    if params.embedding is not None:
-        checks.append((params.embedding.table, (s, d), "embedding"))
-    for i, w in enumerate(params.layers):
-        for nm, t, shape in (
-            ("W_q", w.w_q, (d, d)),
-            ("W_k", w.w_k, (d, d)),
-            ("W_v", w.w_v, (d, d)),
-            ("W_o", w.w_o, (d, d)),
-            ("gamma_1", w.gamma_1, (d,)),
-            ("gamma_2", w.gamma_2, (d,)),
-        ):
-            checks.append((t, shape, f"layers.{i}.{nm}"))
-        if w.w_g is not None:
-            checks.append((w.w_g, (d, cfg.n_experts), f"layers.{i}.W_g"))
-        for fw in (w.ffn, *w.experts):
-            if fw is None:
-                continue
-            checks.append((fw.w1, (d, m), f"layers.{i} W_1"))
-            checks.append((fw.w2, (m, d), f"layers.{i} W_2"))
-            if fw.w3 is not None:
-                checks.append((fw.w3, (d, m), f"layers.{i} W_3"))
-    for tensor, shape, name in checks:
-        if tuple(tensor.shape) != shape:
-            raise CodecError(f"{name} has shape {tuple(tensor.shape)}, expected {shape}")
+    return ModelParams(cfg, embedding, layers, w_c)
 
 
 def config_to_bytes(cfg):
@@ -253,7 +229,7 @@ class _Reader:
         self.off = 0
 
     def take(self, n, what):
-        if self.off + n > len(self.raw):
+        if n < 0 or self.off + n > len(self.raw):
             raise CodecError(f"truncated file while reading {what}")
         out = self.raw[self.off : self.off + n]
         self.off += n
@@ -281,7 +257,7 @@ def decode_model(raw):
             raise CodecError(f"tensor name is not UTF-8: {exc}") from None
         (rank,) = _RANK.unpack(r.take(_RANK.size, "tensor rank"))
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, "tensor dims"))
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        count = math.prod(dims)  # a Python int: it cannot wrap around
         payload = r.take(4 * count, f"tensor {name!r} payload")
         if name in tensors:
             raise CodecError(f"duplicate tensor {name!r}")

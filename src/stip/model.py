@@ -78,8 +78,10 @@ class ModelConfig:
             raise InvalidConfigError(f"d_ff must be >= 1, got {self.d_ff}")
         if self.vocab_size < 2:
             raise InvalidConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if self.attn_scale <= 0:
-            raise InvalidConfigError(f"attn_scale must be > 0, got {self.attn_scale}")
+        if not (math.isfinite(self.attn_scale) and self.attn_scale > 0):
+            raise InvalidConfigError(
+                f"attn_scale must be finite and > 0, got {self.attn_scale}"
+            )
         if self.n_experts != 0 and self.n_experts < 2:
             raise InvalidConfigError(
                 f"n_experts must be 0 (dense) or >= 2, got {self.n_experts}"
@@ -354,15 +356,15 @@ def _norm(x, gamma, beta, cfg):
     return layernorm(x, gamma, beta)
 
 
-def _ffn_dispatch(v, w, cfg, top_k):
+def _ffn_dispatch(v, w, cfg):
     if cfg.is_moe:
-        return moe_ffn(v, w, cfg.ffn_kind, top_k)
+        return moe_ffn(v, w, cfg.ffn_kind)
     if w.ffn is None:
         raise MissingWeightError("dense layer is missing its feedforward weights")
     return ffn_forward(v, w.ffn, cfg.ffn_kind)
 
 
-def layer_forward(x, w, cfg, mask, top_k=MOE_TOP_K, kv=None, last_row=False):
+def layer_forward(x, w, cfg, mask, kv=None, last_row=False):
     """One Transformer layer in the configured placement.
 
     post: v = norm(attn(x) + x), y = norm(ffn(v) + v)
@@ -386,12 +388,14 @@ def layer_forward(x, w, cfg, mask, top_k=MOE_TOP_K, kv=None, last_row=False):
     else:
         v = u + x
         ffn_in = _norm(v, w.gamma_2, w.beta_2, cfg)
-    z = _ffn_dispatch(ffn_in, w, cfg, top_k)
+    z = _ffn_dispatch(ffn_in, w, cfg)
     return _norm(z + v, w.gamma_2, w.beta_2, cfg) if post else z + v
 
 
-def model_forward(x, params, mask, top_k=MOE_TOP_K, cache=None, last_row=False):
+def model_forward(x, params, mask, cache=None, last_row=False):
     """All layers then the softmax classifier; rows of the output sum to 1.
+
+    An MoE layer routes each row to its `MOE_TOP_K` best experts.
 
     With a KVCache, x continues the sequence the cache holds, the output
     covers x's rows only, and the cache then holds x as well.
@@ -417,7 +421,7 @@ def model_forward(x, params, mask, top_k=MOE_TOP_K, cache=None, last_row=False):
             kvs = cache.layers
     last = len(params.layers) - 1
     for i, (w, kv) in enumerate(zip(params.layers, kvs)):
-        y = layer_forward(y, w, cfg, mask, top_k, kv, last_row and i == last)
+        y = layer_forward(y, w, cfg, mask, kv, last_row and i == last)
     if cache is not None:
         cache.rows += new_rows
         if not last_row:
@@ -433,7 +437,7 @@ def greedy_decode_step(o):
     return int(np.argmax(o[-1]))
 
 
-def greedy_generate(params, prompt_ids, max_tokens, top_k=MOE_TOP_K):
+def greedy_generate(params, prompt_ids, max_tokens):
     """Local greedy decoding: one prefill, then one row per token through a KVCache.
 
     The same `model_forward` steps P2 takes, without the permutations.
@@ -449,7 +453,7 @@ def greedy_generate(params, prompt_ids, max_tokens, top_k=MOE_TOP_K):
     out = []
     for _ in range(max_tokens):
         x = embed(new, params.embedding)
-        o = model_forward(x, params, mask, top_k, cache=cache, last_row=True)
+        o = model_forward(x, params, mask, cache=cache, last_row=True)
         new = [greedy_decode_step(o)]
         out.extend(new)
     return out

@@ -16,13 +16,13 @@ row is largest, not the whole 1×s row. Since only that row is read, a TOP1
 round runs the last layer on the last row alone, past its K′/V′, which cover
 every row because later steps attend to them.
 
-P2 widens the dense matrices of each deployed θ′ to float64 once, in place,
-at the first inference request it serves for that deployment: W′_q, W′_k,
-W′_v and W′_o of every layer, a dense layer's W′_1/W′_2/W′_3, and W′_c. The
-engine computes its products in float64, so a one-row step no longer casts
-each of these on every call; the values, and so every output bit, are the
-same. MoE experts, W′_g and the norm vectors stay float32, and so do the
-container and `state_bytes()`.
+P2 keeps θ′, its epoch and a count of deployments; a REKEY notice that
+retires the current epoch drops θ′. At the first inference request on a θ′,
+P2 widens its dense matrices (W′_q, W′_k, W′_v and W′_o of every layer, a
+dense layer's W′_1/W′_2/W′_3, and W′_c) to float64 in place. The engine
+computes its products in float64, so a one-row step no longer casts each of
+these on every call, and every output bit stays the same. MoE experts, W′_g
+and the norm vectors stay float32, and so do the container and `state_bytes()`.
 
 P2 serves each link in one party's role: P1's link may deploy and re-key,
 P3's link may only ask for inference.
@@ -53,7 +53,6 @@ from .errors import (
 from .model import (
     KVCache,
     MaskKind,
-    MOE_TOP_K,
     embed,
     greedy_decode_step,
     make_mask,
@@ -193,10 +192,13 @@ class LinkCache:
 class ServerParty:
     """P2: runs the transformed model verbatim; knows no permutation and no embedding.
 
-    A deploy installs θ′ as decoded, in float32. The first inference request
-    served for that deployment widens its dense matrices to float64 in place
-    (`_widen_dense`), so the deploy itself pays nothing for it and the
-    container is gone by then; each later deploy starts over in float32.
+    It keeps θ′ (`model`, None when none is live), the epoch θ′ was deployed
+    at and a count of deployments. A deploy installs θ′ as decoded, in
+    float32; the first inference request served on it widens its dense
+    matrices to float64 in place (`_widen_dense`), so the deploy itself pays
+    nothing for it and the container is gone by then. A REKEY notice that
+    retires the current epoch drops θ′; the epoch stays, so requests at it
+    are refused as stale until a new θ′ arrives.
     """
 
     role = "Server"
@@ -204,16 +206,14 @@ class ServerParty:
     def __init__(self):
         self.model = None
         self.epoch = None
-        self.active = False
         self.deployments = 0  # ties a link's cache to the model it was built on
-        self.widened = False  # the current model's dense matrices are float64
         self._lock = threading.RLock()
 
     def handle_deploy(self, frame):
         if frame.msg_type is not wire.MsgType.DEPLOY_MODEL:
             raise ProtocolError(f"expected DEPLOY_MODEL, got {frame.msg_type.name}")
         with self._lock:
-            if self.epoch is not None and self.active and frame.epoch <= self.epoch:
+            if self.model is not None and frame.epoch <= self.epoch:
                 raise StaleEpochError(
                     f"deploy epoch {frame.epoch} does not advance {self.epoch}"
                 )
@@ -221,18 +221,16 @@ class ServerParty:
             if model.embedding is not None:
                 raise ProtocolError("a deployed model must not carry the embedding table")
             self.model = model
-            self.widened = False
             self.epoch = frame.epoch
-            self.active = True
             self.deployments += 1
             return wire.make_ack(self.epoch, frame.session_id)
 
     def handle_rekey(self, frame):
-        """Epoch-bump notice: retire the current model until a new one arrives."""
+        """Epoch-bump notice: drop θ′ if the notice retires its epoch."""
         retiring = wire.decode_rekey_payload(frame.payload)
         with self._lock:
-            if self.epoch is not None and retiring == self.epoch:
-                self.active = False
+            if retiring == self.epoch:
+                self.model = None
             return wire.make_ack(frame.epoch, frame.session_id)
 
     def serve(self, frame, cache=None):
@@ -247,24 +245,24 @@ class ServerParty:
         must name exactly the rows the cache holds. Without a cache (a direct
         call) only a prefill can be served, and nothing is kept.
 
-        The first request accepted at a deployment's epoch widens that
-        model's dense matrices to float64 (`_widen_dense`), under the lock
-        and before any forward pass runs on it; a refused request widens
-        nothing.
+        Before any deploy this raises NotInitializedError; once θ′ is
+        retired, or at another epoch, StaleEpochError. The first request
+        accepted on a θ′ whose W′_c is still float32 widens its dense matrices
+        to float64 (`_widen_dense`), under the lock and before any forward
+        pass runs on it; a refused request widens nothing.
         """
         if frame.msg_type is not wire.MsgType.INFER_REQUEST:
             raise ProtocolError(f"expected INFER_REQUEST, got {frame.msg_type.name}")
         with self._lock:
-            if self.model is None:
+            model = self.model
+            if model is None and self.epoch is None:
                 raise NotInitializedError("no model deployed")
-            if not self.active or frame.epoch != self.epoch:
+            if model is None or frame.epoch != self.epoch:
                 raise StaleEpochError(
                     f"request epoch {frame.epoch}, current epoch {self.epoch}"
                 )
-            if not self.widened:
-                _widen_dense(self.model)
-                self.widened = True
-            model = self.model
+            if model.w_c.dtype != np.float64:
+                _widen_dense(model)
             epoch = self.epoch
             deployment = self.deployments
         cfg = model.config
@@ -295,7 +293,7 @@ class ServerParty:
         mask = make_mask(cfg.mask_kind, n=x.shape[0])
         try:
             top1 = mode == wire.ReplyMode.TOP1
-            o = model_forward(x, model, mask, MOE_TOP_K, cache=kv, last_row=top1)
+            o = model_forward(x, model, mask, cache=kv, last_row=top1)
             if top1:
                 top = _argmax_set(o[-1])
                 return wire.make_top1_response(top, epoch, frame.session_id)
@@ -483,11 +481,11 @@ def _widen_dense(model):
     """Cast the model's dense matrices to float64 in place, one tensor at a time.
 
     Widened: W_q, W_k, W_v and W_o of every layer, a dense layer's W_1, W_2
-    and W_3, and W_c; each float32 array is dropped as its copy replaces it,
-    so no more than one float32 matrix lives beside its copy at a time. `numerics.matmul` takes a
-    float64 operand as it is and computes in float64 anyway, so every product
-    gives the same bytes. MoE experts, W_g and the norm vectors stay float32:
-    the experts are most of an MoE model's bytes.
+    and W_3, and W_c, last, so a float64 W_c marks the model widened. Each
+    float32 array is dropped as its copy replaces it. `numerics.matmul` takes
+    a float64 operand as it is and computes in float64 anyway, so every
+    product gives the same bytes. MoE experts, W_g and the norm vectors stay
+    float32: the experts are most of an MoE model's bytes.
     """
     for w in model.layers:
         for name in ("w_q", "w_k", "w_v", "w_o"):

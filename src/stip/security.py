@@ -19,7 +19,7 @@ from .errors import (
     InvalidDimensionError,
     KeyspaceTooLargeError,
 )
-from .model import MOE_TOP_K, embed, greedy_decode_step, make_mask, model_forward
+from .model import embed, greedy_decode_step, make_mask, model_forward
 from .numerics import (
     Permutation,
     apply_col_perm,
@@ -289,9 +289,7 @@ def kpa_parameter_resistance_demo(params, pset, recovered_pi):
     return report
 
 
-def unauthorized_use_demo(
-    transformed, raw_prompt_ids, table, pset, max_tokens=50, top_k=MOE_TOP_K
-):
+def unauthorized_use_demo(transformed, raw_prompt_ids, table, pset, max_tokens=50):
     """Greedy-decode the transformed model on raw (un-permuted) embeddings.
 
     The legitimate stream follows the protocol path (permute inputs, recover
@@ -307,7 +305,7 @@ def unauthorized_use_demo(
         x = embed(legit_ids, table)
         mask = make_mask(cfg.mask_kind, n=len(legit_ids))
         o = recover_output(
-            model_forward(apply_col_perm(x, pset.pi), transformed, mask, top_k),
+            model_forward(apply_col_perm(x, pset.pi), transformed, mask),
             pset.pi_c,
         )
         nxt = greedy_decode_step(o)
@@ -316,7 +314,7 @@ def unauthorized_use_demo(
 
         xr = embed(rogue_ids, table)
         mask_r = make_mask(cfg.mask_kind, n=len(rogue_ids))
-        o_r = model_forward(xr, transformed, mask_r, top_k)
+        o_r = model_forward(xr, transformed, mask_r)
         nxt_r = greedy_decode_step(o_r)
         rogue_ids.append(nxt_r)
         rogue_out.append(nxt_r)

@@ -1,10 +1,13 @@
 """Shared fixtures and config factories."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 import stip.model
+from stip.container import FORMAT_VERSION, MODEL_MAGIC, config_to_bytes
 from stip.model import FfnKind, MaskKind, ModelConfig, NormKind, NormPlacement
 from stip.errors import DegenerateRowError, InvalidDimensionError
 from stip.numerics import DTYPE, as_matrix, as_vector, matmul
@@ -42,6 +45,16 @@ def make_config(
         n_experts=n_experts,
         mask_kind=mask_kind,
     )
+
+
+def overflowing_container(cfg):
+    """A model container whose one tensor, W_c, declares dims (2**31, 2**31, 4).
+
+    That is 2**64 elements, a count that wraps to 0 in 64-bit arithmetic;
+    no payload follows.
+    """
+    head = struct.pack("<4sH", MODEL_MAGIC, FORMAT_VERSION) + config_to_bytes(cfg)
+    return head + struct.pack("<H3sB3I", 3, b"W_c", 3, 2**31, 2**31, 4)
 
 
 VARIANT_CONFIGS = {

@@ -8,9 +8,9 @@ import sys
 
 import pytest
 
-from conftest import make_config
+from conftest import make_config, overflowing_container
 from stip import cli
-from stip.container import load_keys, load_model, load_model_json, save_keys
+from stip.container import load_keys, load_model, load_model_json, save_keys, save_model
 from stip.model import gen_model
 from stip.protocol import DataOwnerParty, DeveloperParty, ServerParty
 from stip.transform import PermutationSet, gen_permutation_set
@@ -203,6 +203,20 @@ def test_verify_unreachable_tolerance_fails(tmp_path, capsys):
     )
     assert code == 1
     assert report["results"]["passed"] is False
+    # so does a model whose outputs are NaN, at the default tolerance
+    params = load_model(str(m))
+    params.w_c[3, 5] = float("nan")
+    save_model(params, str(m))
+    code, report, _ = run_cli(capsys, ["verify", "--model", str(m), "--keys", str(k)])
+    assert code == 1
+    assert report["results"]["passed"] is False
+
+
+def test_verify_model_with_overflowing_tensor_dims_is_io_error(tmp_path, capsys):
+    m, k = transform_fixture(tmp_path)
+    m.write_bytes(overflowing_container(load_model(str(m)).config))
+    code, _, err = run_cli(capsys, ["verify", "--model", str(m), "--keys", str(k)])
+    assert code == 3 and "i/o error" in err
 
 
 def test_verify_zero_trials_is_usage_error(tmp_path, capsys):
@@ -431,6 +445,14 @@ def test_invalid_model_dimensions_are_usage_error(tmp_path, capsys):
         capsys, ["genmodel", str(tmp_path / "m.bin"), "--d-model", "0"]
     )
     assert code == 2
+    # an attention scale of 0 means d_model; no other value but a finite
+    # positive one is accepted
+    for scale in ("-5", "nan", "inf"):
+        code, _, err = run_cli(
+            capsys, ["genmodel", str(tmp_path / "m.bin"), "--attn-scale", scale]
+        )
+        assert code == 2 and "attn_scale" in err, scale
+    assert not (tmp_path / "m.bin").exists()
 
 
 # --- installed entry point -----------------------------------------------------------------

@@ -7,13 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import VARIANT_CONFIGS, make_config
+from conftest import VARIANT_CONFIGS, make_config, overflowing_container
 from stip.container import (
     FORMAT_VERSION,
     KEYS_MAGIC,
     MODEL_MAGIC,
     ROLE_PI,
     ROLE_PI_C,
+    _Reader,
     _tensor_map,
     config_to_bytes,
     decode_keys,
@@ -30,7 +31,7 @@ from stip.container import (
     save_model_json,
 )
 from stip.errors import CodecError
-from stip.model import gen_model
+from stip.model import FfnKind, gen_model
 from stip.transform import gen_permutation_set
 
 F32 = np.float32
@@ -70,8 +71,13 @@ def test_model_binary_round_trip(name):
 
 def reference_encoding(params):
     """The container written field by field from the JSON mirror: an independent oracle."""
-    parts = [struct.pack("<4sH", MODEL_MAGIC, FORMAT_VERSION), config_to_bytes(params.config)]
-    for name, t in model_to_json(params)["tensors"].items():
+    return encode_json_doc(model_to_json(params), params.config)
+
+
+def encode_json_doc(doc, cfg):
+    """The container holding the tensors of a JSON mirror `doc`, as they stand."""
+    parts = [struct.pack("<4sH", MODEL_MAGIC, FORMAT_VERSION), config_to_bytes(cfg)]
+    for name, t in doc["tensors"].items():
         nm = name.encode("utf-8")
         dims = t["dims"]
         parts.append(struct.pack(f"<H{len(nm)}sB{len(dims)}I", len(nm), nm, len(dims), *dims))
@@ -160,6 +166,38 @@ def test_model_decode_rejects_missing_tensor():
     first_end = first + 1 + 4 * rank + payload
     with pytest.raises(CodecError):
         decode_model(blob[:first_end])
+
+
+@pytest.mark.parametrize(
+    "kw", [dict(ffn_kind=FfnKind.SWIGLU), dict(ffn_kind=FfnKind.SWIGLU, n_experts=3)],
+    ids=["dense", "moe"],
+)
+def test_model_decode_rejects_each_misshapen_tensor(kw):
+    # every tensor, a LayerNorm β and the embedding included, is checked
+    # where it is taken, in the binary container and in the JSON mirror
+    params = gen_model(make_config(n_layers=1, **kw), 21)
+    doc = model_to_json(params)
+    for name in doc["tensors"]:
+        bad = json.loads(json.dumps(doc))
+        bad["tensors"][name]["dims"].append(1)
+        with pytest.raises(CodecError, match="has shape"):
+            decode_model(encode_json_doc(bad, params.config))
+        with pytest.raises(CodecError, match="has shape"):
+            model_from_json(bad)
+    params_equal(params, decode_model(encode_json_doc(doc, params.config)))
+
+
+def test_model_decode_rejects_dims_whose_count_overflows():
+    # 2**31 * 2**31 * 4 elements wrap to 0 in an int64 count
+    with pytest.raises(CodecError, match="truncated"):
+        decode_model(overflowing_container(make_config()))
+
+
+def test_reader_refuses_a_negative_length():
+    r = _Reader(b"abcd")
+    with pytest.raises(CodecError):
+        r.take(-1, "field")
+    assert bytes(r.take(4, "field")) == b"abcd"
 
 
 def test_json_mirror_round_trip():

@@ -82,6 +82,9 @@ def test_config_rejects_bad_dims():
         dict(d_ff=0),
         dict(vocab_size=1),
         dict(attn_scale=0.0),
+        dict(attn_scale=-5.0),
+        dict(attn_scale=float("nan")),
+        dict(attn_scale=float("inf")),
         dict(n_experts=1),
     ):
         with pytest.raises(InvalidConfigError):

@@ -16,7 +16,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 import stip.protocol
 import stip.transport
-from conftest import VARIANT_CONFIGS, make_config
+from conftest import VARIANT_CONFIGS, make_config, overflowing_container
 from stip import container, wire
 from stip.errors import (
     AbortedGenerationError,
@@ -301,13 +301,35 @@ def test_old_epoch_requests_rejected_after_rekey():
 
 def test_rekey_notice_retires_epoch_until_redeploy():
     params = desk_params(41)
-    p1, p2, p3 = deployed_parties(params, seed=42)
+    p1 = DeveloperParty(params, session_seed=42)
+    p2 = ServerParty()
+    p3 = DataOwnerParty(params.embedding, session_seed=43)
+    first, keys = p1.initialize(44)
+    p2.handle_deploy(first)
+    p3.handle_deploy_keys(keys)
     req = p3.infer_request([0])
-    to_p2, _ = p1.rekey(43)
+    p2.serve(req)
+    assert p2.model.w_c.dtype == np.float64
+    retired = weakref.ref(p2.model)
+    to_p2, to_p3 = p1.rekey(45)
     p2.handle_rekey(p1.rekey_notice())
+    # the notice releases the retired θ′ itself, not just a flag beside it
+    assert p2.model is None
+    assert p2.state_bytes() == b""
+    gc.collect()
+    assert retired() is None
     with pytest.raises(StaleEpochError):
         p2.serve(req)
+    # with no live θ′, a deploy at the retired epoch is accepted, and its
+    # first request widens the new θ′
+    p2.handle_deploy(first)
+    assert (p2.epoch, p2.deployments) == (1, 2)
+    assert p2.model.w_c.dtype == F32
+    o = p3.recover(p2.serve(req))
+    assert p2.model.w_c.dtype == np.float64
     p2.handle_deploy(to_p2)
+    p3.handle_deploy_keys(to_p3)
+    assert np.max(np.abs(p3.recover(p2.serve(p3.infer_request([0]))) - o)) <= 1e-4
 
 
 def test_old_shared_keys_cannot_recover_new_responses():
@@ -360,6 +382,30 @@ def test_serve_loop_translates_faults_to_error_frames():
 
     near.close()
     t.join()
+
+
+def test_p1_link_answers_overflowing_tensor_dims_as_malformed_and_keeps_serving():
+    params = desk_params(55)
+    p1 = DeveloperParty(params, session_seed=56)
+    p2 = ServerParty()
+    p3 = DataOwnerParty(params.embedding, session_seed=57)
+    to_p2, to_p3 = p1.initialize(58)
+    near, far = inproc_pair()
+    t = threading.Thread(target=p2.serve_loop, args=(far, 5), kwargs={"role": "P1"})
+    t.start()
+    try:
+        near.send(wire.make_deploy_model(overflowing_container(params.config), 1, 1))
+        err = near.recv(timeout=5)
+        assert err.msg_type is wire.MsgType.ERROR
+        assert wire.decode_error_payload(err.payload)[0] == wire.ErrorCode.MALFORMED
+        assert p2.model is None and p2.epoch is None
+        stip.protocol.deploy(near, p3, to_p2, to_p3, timeout=5)
+        assert t.is_alive()
+    finally:
+        near.close()
+        t.join(timeout=5)
+    o = p3.recover(p2.serve(p3.infer_request([1, 2])))
+    assert o.shape == (2, params.config.vocab_size)
 
 
 def test_serve_loop_drops_a_deploy_frame_once_it_has_answered():
@@ -416,10 +462,9 @@ def _dtypes(model):
 
 def _widened_on_first_request(p2, p3):
     """Serve one prefill and return P2's model, now widened."""
-    assert not p2.widened
     assert set(_dtypes(p2.model).values()) == {np.dtype(F32)}
     p2.serve(p3.infer_request([0], mode=wire.ReplyMode.TOP1))
-    assert p2.widened
+    assert p2.model.w_c.dtype == np.float64
     return p2.model
 
 
@@ -472,15 +517,15 @@ def test_stale_epoch_request_is_refused_whether_or_not_widened(widened):
         _widened_on_first_request(p2, p3)
     with pytest.raises(StaleEpochError):
         p2.serve(old_req)
-    assert p2.widened is widened
+    model = p2.model
+    assert (model.w_c.dtype == np.float64) is widened
     # a retired epoch is refused too, and a refused request widens nothing
     req = p3.infer_request([0])
     p1.rekey(138)
     p2.handle_rekey(p1.rekey_notice())
     with pytest.raises(StaleEpochError):
         p2.serve(req)
-    assert p2.widened is widened
-    assert (_dtypes(p2.model)["W_c"] == np.float64) is widened
+    assert (_dtypes(model)["W_c"] == np.float64) is widened
 
 
 @pytest.mark.parametrize("last_row", [False, True], ids=["all", "top1"])
@@ -537,10 +582,10 @@ def test_widened_server_generates_local_greedy_tokens_across_a_rekey(kind, varia
         for messages in (p1.initialize(143), p1.rekey(144)):
             stip.protocol.deploy(hub.p1_link, p3, *messages, timeout=5.0)
             model = p2.model
-            assert not p2.widened and model.w_c.dtype == F32
+            assert model.w_c.dtype == F32
             got = [p3.generate(prompt, 6, hub.p3_link, timeout=5.0) for prompt in prompts]
             assert got == local
-            assert p2.widened and p2.model is model and model.w_c.dtype == np.float64
+            assert p2.model is model and model.w_c.dtype == np.float64
     finally:
         hub.shutdown()
     assert not any(t.is_alive() for t in hub._threads)
@@ -701,7 +746,7 @@ def test_server_host_binds_each_link_to_its_partys_frames(kind):
         retire_live = wire.make_rekey(p2.epoch + 1, p2.epoch, p3.session_id)
         for frame in (rogue_model, retire_live, rogue_keys):
             assert _refused(_ask(hub.p3_link, frame))
-        assert (p2.model, p2.epoch, p2.active, p2.deployments) == (model, 1, True, 1)
+        assert (p2.model, p2.epoch, p2.deployments) == (model, 1, 1)
         # the link's cache survived: a step continuing the prefill is served
         step = p3.infer_request([4], start=len(prompt), mode=top1)
         assert _ask(hub.p3_link, step).msg_type is wire.MsgType.INFER_RESPONSE
@@ -764,7 +809,7 @@ class RoleBoundLinks(RuleBasedStateMachine):
             "keys": wire.make_deploy_keys(b"keys", epoch + 1, sid),
         }
         assert _refused(_ask(self.hub.p3_link, frames[kind]))
-        assert (self.p2.epoch, self.p2.active) == (epoch, True)
+        assert self.p2.epoch == epoch and self.p2.model is not None
 
     @rule(prompt=st.lists(st.integers(0, 11), min_size=1, max_size=4))
     def p1_sends_inference(self, prompt):

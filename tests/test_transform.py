@@ -1,5 +1,7 @@
 """Parameter-space permutation transform and its equivalence guarantees."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -380,3 +382,10 @@ def test_verify_fails_at_unreachable_tolerance():
     rep = verify_equivalence(params, pset, trials=2, tol=-1.0, n=8, seed=64)
     assert not rep["passed"]
     assert rep["max_abs_diff"] >= 0.0
+    # NaN outputs fail at any tolerance, though an all-NaN row's argmax (0)
+    # agrees on both paths
+    w_c = params.w_c.copy()
+    w_c[3, 5] = np.nan
+    rep = verify_equivalence(replace(params, w_c=w_c), pset, trials=2, tol=1e-4, n=8, seed=64)
+    assert not rep["passed"]
+    assert np.isnan(rep["max_abs_diff"])
