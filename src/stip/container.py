@@ -34,8 +34,15 @@ from .model import (
     NormKind,
     NormPlacement,
 )
-from .numerics import DTYPE, Permutation, restore_neg_inf, sanitize_neg_inf
-from .transform import LayerPerms, PermutationSet
+from .numerics import (
+    DTYPE,
+    Gather,
+    Permutation,
+    restore_neg_inf,
+    sanitize_neg_inf,
+    sanitize_neg_inf_in_place,
+)
+from .transform import LayerPerms, PermutationSet, gather_plan
 
 MODEL_MAGIC = b"STIP"
 KEYS_MAGIC = b"STPK"
@@ -198,26 +205,36 @@ def _tensor_head(name, shape):
     return struct.pack(f"<H{len(nm)}sB{len(shape)}I", len(nm), nm, len(shape), *shape)
 
 
-def encode_model(params):
+def encode_model(params, pset=None):
     """Model -> container bytes, as a bytearray.
 
     The container is sized first, then each tensor is written straight into
-    it: one copy per tensor, with no intermediate bytes objects.
+    it, with no intermediate bytes objects. Given a permutation set, the
+    container holds θ′ = para_trans(params, pset), and each θ′ tensor is
+    gathered from params into its slot (`transform.gather_plan`): θ′ is
+    never written anywhere else.
     """
-    tensors = [
-        (_tensor_head(name, np.shape(t)), np.asarray(t))
-        for name, t in _tensor_map(params).items()
-    ]
+    if pset is not None:
+        params = gather_plan(params, pset)
+    tensors = []
+    for name, t in _tensor_map(params).items():
+        shape = np.shape(t)
+        tensors.append((_tensor_head(name, shape), shape, t))
     start = _HEAD.size + _CONFIG.size
-    buf = bytearray(start + sum(len(head) + 4 * t.size for head, t in tensors))
+    buf = bytearray(start + sum(len(h) + 4 * math.prod(s) for h, s, _ in tensors))
     buf[:start] = _HEAD.pack(MODEL_MAGIC, FORMAT_VERSION) + config_to_bytes(params.config)
     off = start
-    for head, t in tensors:
+    for head, shape, t in tensors:
         buf[off : off + len(head)] = head
         off += len(head)
-        dst = np.frombuffer(buf, dtype="<f4", count=t.size, offset=off)
-        dst.reshape(t.shape)[...] = sanitize_neg_inf(t)
-        off += 4 * t.size
+        dst = np.frombuffer(buf, dtype="<f4", count=math.prod(shape), offset=off)
+        dst = dst.reshape(shape)
+        if isinstance(t, Gather):
+            t.into(dst)
+        else:
+            dst[...] = t
+        sanitize_neg_inf_in_place(dst)
+        off += dst.nbytes
     return buf
 
 
@@ -240,7 +257,10 @@ class _Reader:
 
 
 def decode_model(raw):
-    """Container bytes -> model; bad magic/version/truncation raise CodecError."""
+    """Container bytes -> model of read-only views into `raw`.
+
+    Bad magic, version or truncation raise CodecError.
+    """
     r = _Reader(raw)
     magic, version = _HEAD.unpack(r.take(_HEAD.size, "header"))
     if magic != MODEL_MAGIC:
@@ -261,9 +281,12 @@ def decode_model(raw):
         payload = r.take(4 * count, f"tensor {name!r} payload")
         if name in tensors:
             raise CodecError(f"duplicate tensor {name!r}")
-        # astype is the one copy: the model must not hold on to the container
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(DTYPE)
-        tensors[name] = restore_neg_inf(arr)
+        # No copy: the model holds read-only views into `raw`, which stays
+        # alive as long as any of them does. A tensor that held a sentinel
+        # is a copy with -inf restored, read-only as well.
+        arr = restore_neg_inf(np.frombuffer(payload, dtype="<f4").reshape(dims))
+        arr.flags.writeable = False
+        tensors[name] = arr
     return _assemble_model(cfg, tensors)
 
 
@@ -273,8 +296,11 @@ def save_model(params, path):
 
 
 def load_model(path):
+    """Model file -> model whose tensors are writeable arrays of their own."""
     with open(path, "rb") as f:
-        return decode_model(f.read())
+        model = decode_model(f.read())
+    tensors = {name: np.array(t) for name, t in _tensor_map(model).items()}
+    return _assemble_model(model.config, tensors)
 
 
 def model_to_json(params):

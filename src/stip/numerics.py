@@ -113,6 +113,12 @@ def sanitize_neg_inf(a):
     return a
 
 
+def sanitize_neg_inf_in_place(a):
+    """sanitize_neg_inf, writing the sentinel into `a` itself."""
+    if _some_entry_at_most(a, NEG_INF):
+        a[np.isneginf(a)] = F32_MIN
+
+
 def restore_neg_inf(a):
     """Undo sanitize_neg_inf: F32_MIN reads back as -inf; copies only when present."""
     if _some_entry_at_most(a, F32_MIN):
@@ -146,6 +152,64 @@ def apply_vec_perm(v, p):
     if v.size != p.dim:
         raise InvalidDimensionError(f"vector dim {v.size} != perm dim {p.dim}")
     return v[p.indices]
+
+
+# Gathers move 4-byte items as raw bytes: a "V4" item has alignment 1, so
+# np.take writes straight into an `out` that sits at any byte offset, where a
+# float32 `out` off a 4-byte boundary is buffered whole and copied back. The
+# bytes, NaN payloads included, are the float32 ones.
+_ITEM = np.dtype("V4")
+
+
+def _take_into(src, perm, axis, out):
+    np.take(src.view(_ITEM), perm.indices, axis=axis, out=out.view(_ITEM), mode="clip")
+
+
+class Gather:
+    """One permuted tensor, not yet written: out[i, j] = src[rows[i], cols[j]].
+
+    `rows` and `cols` are Permutations, or None to leave that axis as it is
+    (not both); a vector has only columns. `into` writes the tensor into an
+    array the caller owns, such as its slot in a model container, and
+    `array` into a fresh one; both give the bytes `apply_row_perm`,
+    `apply_col_perm` and `apply_vec_perm` give.
+    """
+
+    def __init__(self, src, rows, cols):
+        src = np.asarray(src, dtype=DTYPE)
+        if src.ndim not in (1, 2) or (rows is not None and src.ndim != 2):
+            raise InvalidDimensionError(f"cannot gather a tensor of shape {src.shape}")
+        if rows is not None and src.shape[0] != rows.dim:
+            raise InvalidDimensionError(f"rows {src.shape[0]} != perm dim {rows.dim}")
+        if cols is not None and src.shape[-1] != cols.dim:
+            raise InvalidDimensionError(f"cols {src.shape[-1]} != perm dim {cols.dim}")
+        self.src = src
+        self.rows = rows
+        self.cols = cols
+
+    @property
+    def shape(self):
+        return self.src.shape
+
+    def into(self, out):
+        """Write the tensor into `out`, a float32 array of its shape at any alignment.
+
+        Both sides permuted: the rows go into a scratch array, the columns
+        into `out`. Each np.take uses mode="clip", because with the default
+        "raise" numpy buffers the whole `out`. Nothing is clipped: a
+        Permutation's indices are a checked bijection, and the constructor
+        checked each permuted axis against its permutation.
+        """
+        if self.cols is None:
+            _take_into(self.src, self.rows, 0, out)
+            return
+        src = self.src if self.rows is None else self.src[self.rows.indices]
+        _take_into(src, self.cols, -1, out)
+
+    def array(self):
+        out = np.empty(self.shape, dtype=DTYPE)
+        self.into(out)
+        return out
 
 
 def _matmul_operand(x):

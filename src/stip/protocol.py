@@ -16,13 +16,19 @@ row is largest, not the whole 1×s row. Since only that row is read, a TOP1
 round runs the last layer on the last row alone, past its K′/V′, which cover
 every row because later steps attend to them.
 
+A deploy writes θ′ once. P1 gathers each θ′ tensor from its own weights
+straight into its slot in the DEPLOY_MODEL container
+(`container.encode_model(params, pset)`), and P2 serves θ′ from read-only
+views into the payload it received: it keeps no second copy.
+
 P2 keeps θ′, its epoch and a count of deployments; a REKEY notice that
-retires the current epoch drops θ′. At the first inference request on a θ′,
-P2 widens its dense matrices (W′_q, W′_k, W′_v and W′_o of every layer, a
-dense layer's W′_1/W′_2/W′_3, and W′_c) to float64 in place. The engine
-computes its products in float64, so a one-row step no longer casts each of
-these on every call, and every output bit stays the same. MoE experts, W′_g
-and the norm vectors stay float32, and so do the container and `state_bytes()`.
+retires the current epoch drops θ′, and with it the payload. At the first
+inference request on a θ′, P2 widens its dense matrices (W′_q, W′_k, W′_v
+and W′_o of every layer, a dense layer's W′_1/W′_2/W′_3, and W′_c) to
+float64 copies in place. The engine computes its products in float64, so a
+one-row step no longer casts each of these on every call, and every output
+bit stays the same. MoE experts, W′_g and the norm vectors stay float32
+views into the payload, and the container and `state_bytes()` stay float32.
 
 P2 serves each link in one party's role: P1's link may deploy and re-key,
 P3's link may only ask for inference.
@@ -59,7 +65,7 @@ from .model import (
     model_forward,
 )
 from .numerics import DTYPE, apply_col_perm
-from .transform import gen_permutation_set, para_trans, recover_output
+from .transform import gen_permutation_set, recover_output
 from .transport import accept, connect, inproc_pair, listen
 
 RECV_TIMEOUT = 30.0
@@ -151,9 +157,9 @@ class DeveloperParty:
     def _deploy_messages(self):
         # P2 gets no embedding table: with E it could match each permuted row
         # to its token and so recover the prompt and π (row_fingerprint_attack).
-        served = dataclasses.replace(para_trans(self.params, self.pset), embedding=None)
+        served = dataclasses.replace(self.params, embedding=None)
         to_p2 = wire.make_deploy_model(
-            container.encode_model(served), self.epoch, self.session_id
+            container.encode_model(served, self.pset), self.epoch, self.session_id
         )
         to_p3 = wire.make_deploy_keys(
             container.encode_keys(self.pset, self.epoch, shared_only=True),
@@ -193,12 +199,13 @@ class ServerParty:
     """P2: runs the transformed model verbatim; knows no permutation and no embedding.
 
     It keeps θ′ (`model`, None when none is live), the epoch θ′ was deployed
-    at and a count of deployments. A deploy installs θ′ as decoded, in
-    float32; the first inference request served on it widens its dense
-    matrices to float64 in place (`_widen_dense`), so the deploy itself pays
-    nothing for it and the container is gone by then. A REKEY notice that
-    retires the current epoch drops θ′; the epoch stays, so requests at it
-    are refused as stale until a new θ′ arrives.
+    at and a count of deployments. A deploy installs θ′ as decoded: float32,
+    read-only views into the DEPLOY_MODEL payload, which θ′ keeps alive. The
+    first inference request served on it replaces its dense matrices with
+    float64 copies (`_widen_dense`), so the deploy itself pays nothing for
+    that. A REKEY notice that retires the current epoch drops θ′, and so
+    the payload; the epoch stays, so requests at it are refused as stale
+    until a new θ′ arrives.
     """
 
     role = "Server"
@@ -343,8 +350,9 @@ class ServerParty:
                 reply = self.handle(frame, cache)
             except Exception as exc:  # the connection outlives any one request
                 reply = _error_reply(exc, frame)
-            # A DEPLOY_MODEL frame holds the whole container; do not keep it
-            # alive while waiting for the next frame.
+            # Drop the frame before waiting for the next one: a refused
+            # DEPLOY_MODEL frame holds a whole container, and an accepted
+            # one must live only as long as the θ′ it carries.
             del frame
             try:
                 transport.send(reply)
@@ -482,7 +490,7 @@ def _widen_dense(model):
 
     Widened: W_q, W_k, W_v and W_o of every layer, a dense layer's W_1, W_2
     and W_3, and W_c, last, so a float64 W_c marks the model widened. Each
-    float32 array is dropped as its copy replaces it. `numerics.matmul` takes
+    copy replaces a float32 view into the deploy payload. `numerics.matmul` takes
     a float64 operand as it is and computes in float64 anyway, so every
     product gives the same bytes. MoE experts, W_g and the norm vectors stay
     float32: the experts are most of an MoE model's bytes.

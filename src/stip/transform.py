@@ -22,10 +22,9 @@ from .model import (
     random_custom_mask,
 )
 from .numerics import (
+    Gather,
     Permutation,
     apply_col_perm,
-    apply_row_perm,
-    apply_vec_perm,
     identity_perm,
     inverse_perm,
 )
@@ -85,26 +84,20 @@ def gen_permutation_set(cfg, seed, identity=False):
 
 
 def _two_sided(w, left, right):
-    """leftᵀ · w · right via index movement."""
-    return apply_col_perm(apply_row_perm(w, left), right)
+    """leftᵀ · w · right via index movement; None leaves that side as it is."""
+    return Gather(w, left, right).array()
 
 
-def _transform_ffn(fw, pi, pi3):
-    w3 = None if fw.w3 is None else _two_sided(fw.w3, pi, pi3)
+def _ffn(fw, pi, pi3, make):
     return FfnWeights(
-        w1=_two_sided(fw.w1, pi, pi3),
-        w2=_two_sided(fw.w2, pi3, pi),
-        w3=w3,
+        w1=make(fw.w1, pi, pi3),
+        w2=make(fw.w2, pi3, pi),
+        w3=None if fw.w3 is None else make(fw.w3, pi, pi3),
     )
 
 
-def transform_layer(w, pi, layer_perms, cfg):
-    """W_q′=πᵀW_qπ₁, W_k′=πᵀW_kπ₁, W_v′=πᵀW_vπ₂, W_o′=π₂ᵀW_oπ, FFN via π₃, γ′=γπ, β′=βπ.
-
-    Mixture layers additionally get W_g′ = πᵀW_g (router logits are invariant)
-    and each expert transformed with its own π₃.
-    """
-    lp = layer_perms
+def _layer(w, pi, lp, cfg, make):
+    """The rules of `transform_layer`, each tensor built by make(tensor, rows, cols)."""
     if pi.dim != cfg.d_model or lp.pi1.dim != cfg.d_model or lp.pi2.dim != cfg.d_model:
         raise InvalidDimensionError("feature permutation dims do not match d_model")
     if any(p3.dim != cfg.d_ff for p3 in lp.pi3s):
@@ -117,25 +110,32 @@ def transform_layer(w, pi, layer_perms, cfg):
             raise InvalidDimensionError(
                 f"need {cfg.n_experts} inner permutations, got {len(lp.pi3s)}"
             )
-        experts = tuple(
-            _transform_ffn(fw, pi, p3) for fw, p3 in zip(w.experts, lp.pi3s)
-        )
-        w_g = apply_row_perm(w.w_g, pi)
+        experts = tuple(_ffn(fw, pi, p3, make) for fw, p3 in zip(w.experts, lp.pi3s))
+        w_g = make(w.w_g, pi, None)
     else:
-        ffn = _transform_ffn(w.ffn, pi, lp.pi3)
+        ffn = _ffn(w.ffn, pi, lp.pi3, make)
     return LayerWeights(
-        w_q=_two_sided(w.w_q, pi, lp.pi1),
-        w_k=_two_sided(w.w_k, pi, lp.pi1),
-        w_v=_two_sided(w.w_v, pi, lp.pi2),
-        w_o=_two_sided(w.w_o, lp.pi2, pi),
+        w_q=make(w.w_q, pi, lp.pi1),
+        w_k=make(w.w_k, pi, lp.pi1),
+        w_v=make(w.w_v, pi, lp.pi2),
+        w_o=make(w.w_o, lp.pi2, pi),
         ffn=ffn,
-        gamma_1=apply_vec_perm(w.gamma_1, pi),
-        gamma_2=apply_vec_perm(w.gamma_2, pi),
-        beta_1=None if w.beta_1 is None else apply_vec_perm(w.beta_1, pi),
-        beta_2=None if w.beta_2 is None else apply_vec_perm(w.beta_2, pi),
+        gamma_1=make(w.gamma_1, None, pi),
+        gamma_2=make(w.gamma_2, None, pi),
+        beta_1=None if w.beta_1 is None else make(w.beta_1, None, pi),
+        beta_2=None if w.beta_2 is None else make(w.beta_2, None, pi),
         w_g=w_g,
         experts=experts,
     )
+
+
+def transform_layer(w, pi, layer_perms, cfg):
+    """W_q′=πᵀW_qπ₁, W_k′=πᵀW_kπ₁, W_v′=πᵀW_vπ₂, W_o′=π₂ᵀW_oπ, FFN via π₃, γ′=γπ, β′=βπ.
+
+    Mixture layers additionally get W_g′ = πᵀW_g (router logits are invariant)
+    and each expert transformed with its own π₃.
+    """
+    return _layer(w, pi, layer_perms, cfg, _two_sided)
 
 
 def transform_classifier(w_c, pi, pi_c):
@@ -147,8 +147,7 @@ def transform_classifier(w_c, pi, pi_c):
     return _two_sided(w_c, pi, pi_c)
 
 
-def para_trans(params, pset):
-    """θ′: every layer and the classifier transformed; the embedding table stays as is."""
+def _theta_prime(params, pset, make):
     cfg = params.config
     if pset.pi.dim != cfg.d_model or pset.pi_c.dim != cfg.vocab_size:
         raise InvalidDimensionError("shared permutation dims do not match config")
@@ -157,15 +156,29 @@ def para_trans(params, pset):
             f"set has {len(pset.per_layer)} layer triples, model has {cfg.n_layers}"
         )
     layers = [
-        transform_layer(w, pset.pi, lp, cfg)
+        _layer(w, pset.pi, lp, cfg, make)
         for w, lp in zip(params.layers, pset.per_layer)
     ]
     return ModelParams(
         config=cfg,
         embedding=params.embedding,
         layers=layers,
-        w_c=transform_classifier(params.w_c, pset.pi, pset.pi_c),
+        w_c=make(params.w_c, pset.pi, pset.pi_c),
     )
+
+
+def para_trans(params, pset):
+    """θ′: every layer and the classifier transformed; the embedding table stays as is."""
+    return _theta_prime(params, pset, _two_sided)
+
+
+def gather_plan(params, pset):
+    """θ′ as `para_trans` gives it, with a `Gather` for each transformed tensor.
+
+    Nothing is written until the caller writes each Gather where it wants
+    it: `container.encode_model` writes each one straight into its slot.
+    """
+    return _theta_prime(params, pset, Gather)
 
 
 def recover_output(o_perm, pi_c):

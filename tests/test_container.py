@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import VARIANT_CONFIGS, make_config, overflowing_container
 from stip.container import (
@@ -31,8 +33,9 @@ from stip.container import (
     save_model_json,
 )
 from stip.errors import CodecError
-from stip.model import FfnKind, gen_model
-from stip.transform import gen_permutation_set
+from stip.model import FfnKind, NormKind, NormPlacement, gen_model
+from stip.numerics import F32_MIN
+from stip.transform import gen_permutation_set, para_trans
 
 F32 = np.float32
 
@@ -111,11 +114,56 @@ def test_model_encoding_is_the_format_and_decodes_bit_identical(name, served):
     assert np.isneginf(again.w_c[0, 1]) and np.isneginf(again.layers[0].w_q[2, 3])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    norm_kind=st.sampled_from(NormKind),
+    placement=st.sampled_from(NormPlacement),
+    ffn_kind=st.sampled_from(FfnKind),
+    n_experts=st.sampled_from([0, 2, 3]),
+    neg_inf=st.booleans(),
+    served=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_theta_prime_gathered_into_the_container_is_para_trans_encoded(
+    norm_kind, placement, ffn_kind, n_experts, neg_inf, served, seed
+):
+    cfg = make_config(
+        norm_kind=norm_kind,
+        norm_placement=placement,
+        ffn_kind=ffn_kind,
+        n_experts=n_experts,
+    )
+    params = gen_model(cfg, seed)
+    if neg_inf:
+        params = with_neg_inf(params)
+    if served:
+        params = replace(params, embedding=None)
+    pset = gen_permutation_set(cfg, seed + 1)
+    blob = encode_model(params, pset)
+    assert blob == encode_model(para_trans(params, pset))
+    # the sentinel is written after the gather, wherever -inf landed
+    assert (np.float32(F32_MIN).tobytes() in blob) == neg_inf
+
+
 def test_model_file_round_trip(tmp_path):
     params = gen_model(make_config(), 2)
     path = tmp_path / "m.stip"
     save_model(params, str(path))
-    params_equal(params, load_model(str(path)))
+    loaded = load_model(str(path))
+    params_equal(params, loaded)
+    # a loaded model's tensors are its own, writeable arrays
+    for name, tensor in _tensor_map(loaded).items():
+        assert tensor.flags.writeable and tensor.flags.aligned, name
+
+
+def test_decoded_model_is_read_only_views_into_the_container():
+    params = with_neg_inf(gen_model(make_config(n_experts=2), 12))
+    blob = encode_model(params)
+    raw = np.frombuffer(blob, dtype=np.uint8)
+    for name, tensor in _tensor_map(decode_model(blob)).items():
+        assert not tensor.flags.writeable, name
+        # a tensor that held the sentinel is a copy with -inf restored
+        assert np.shares_memory(tensor, raw) != bool(np.isneginf(tensor).any()), name
 
 
 def test_model_encoding_deterministic():

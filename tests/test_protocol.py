@@ -409,6 +409,9 @@ def test_p1_link_answers_overflowing_tensor_dims_as_malformed_and_keeps_serving(
 
 
 def test_serve_loop_drops_a_deploy_frame_once_it_has_answered():
+    """P2's θ′ is the deploy payload itself: P2 keeps no second copy of it,
+    and a REKEY notice that retires θ′ frees the payload."""
+
     class Payload(bytearray):
         """A container that can be weakly referenced."""
 
@@ -427,12 +430,20 @@ def test_serve_loop_drops_a_deploy_frame_once_it_has_answered():
     try:
         near.send(frame)
         assert near.recv(timeout=5).msg_type is wire.MsgType.ACK
-        del frame, payload
+        del frame
+        for name, tensor in container._tensor_map(p2.model).items():
+            assert np.shares_memory(tensor, np.frombuffer(payload, np.uint8)), name
+            with pytest.raises(ValueError):
+                tensor[(0,) * tensor.ndim] = 0
+        del tensor, payload
+        assert p3.generate([1, 2], 3, near) == greedy_generate(params, [1, 2], 3)
+        p1.rekey(55)
+        near.send(p1.rekey_notice())
+        assert near.recv(timeout=5).msg_type is wire.MsgType.ACK
+        assert p2.model is None
         gc.collect()
         assert alive() is None
         assert t.is_alive()
-        # the loop still serves the model the dropped container carried
-        assert p3.generate([1, 2], 3, near) == greedy_generate(params, [1, 2], 3)
     finally:
         near.close()
         t.join(timeout=5)
@@ -589,6 +600,47 @@ def test_widened_server_generates_local_greedy_tokens_across_a_rekey(kind, varia
     finally:
         hub.shutdown()
     assert not any(t.is_alive() for t in hub._threads)
+
+
+@pytest.mark.parametrize("first", ["ALL", "TOP1"], ids=["all_first", "top1_first"])
+@pytest.mark.parametrize(
+    "mask_kind", [MaskKind.CAUSAL, MaskKind.NONE], ids=["causal", "none"]
+)
+@pytest.mark.parametrize("variant", ["post_ln_relu", "moe_rms_swiglu"])
+def test_theta_prime_served_from_payload_views_replies_as_aligned_copies(
+    variant, mask_kind, first, tmp_path
+):
+    """P2 serves θ′ from views into the deploy payload, some off a 4-byte
+    boundary; its replies equal, byte for byte, those of the same θ′ held as
+    aligned arrays of its own, before and after the widening first request."""
+    params = desk_params(150, n_layers=3, mask_kind=mask_kind, **WIDE_VARIANTS[variant])
+    p1 = DeveloperParty(params, session_seed=151)
+    p3 = DataOwnerParty(params.embedding, session_seed=152)
+    to_p2, to_p3 = p1.initialize(153)
+    p3.handle_deploy_keys(to_p3)
+    views, copies = ServerParty(), ServerParty()
+    for p2 in (views, copies):
+        p2.handle_deploy(to_p2)
+    path = tmp_path / "theta.stip"
+    path.write_bytes(to_p2.payload)
+    copies.model = container.load_model(str(path))
+
+    def offsets(model):
+        return {t.ctypes.data % 4 for t in container._tensor_map(model).values()}
+
+    assert offsets(views.model) - {0} and offsets(copies.model) == {0}
+    all_, top1 = wire.ReplyMode.ALL, wire.ReplyMode.TOP1
+    ids = [3, 1, 4, 1, 5]
+    rounds = [p3.infer_request(ids, mode=wire.ReplyMode[first])]
+    for k, mode in enumerate((all_, top1, top1, all_)):
+        rounds.append(p3.infer_request([k + 2], start=len(ids) + k, mode=mode))
+    rounds.append(p3.infer_request(ids[:2], mode=top1))
+    caches = (stip.protocol.LinkCache(), stip.protocol.LinkCache())
+    for req in rounds:
+        got, want = (p2.serve(req, c) for p2, c in zip((views, copies), caches))
+        assert got.msg_type is want.msg_type is wire.MsgType.INFER_RESPONSE
+        assert bytes(got.payload) == bytes(want.payload)
+    assert views.model.w_c.dtype == copies.model.w_c.dtype == np.float64
 
 
 # --- knowledge partition ---------------------------------------------------------------
