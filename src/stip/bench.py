@@ -1,12 +1,13 @@
 """Measurements: permutation strategies, transform cost, traffic, throughput."""
 
 import csv
+import dataclasses
 import statistics
 import time
 
 import numpy as np
 
-from . import wire
+from . import container, wire
 from .model import gen_model
 from .numerics import apply_col_perm, gen_permutation, to_matrix
 from .protocol import (
@@ -17,7 +18,7 @@ from .protocol import (
     _ServerHost,
     deploy,
 )
-from .transform import gen_permutation_set, para_trans
+from .transform import gen_permutation_set
 
 
 def _median_time(fn, reps):
@@ -32,7 +33,7 @@ def _median_time(fn, reps):
 def bench_permutation(d=1024, reps=30, seed=0):
     """Index-based column permutation vs explicit permutation-matrix product.
 
-    The index side times `apply_col_perm`, the gather P3 and `para_trans` run.
+    The index side times `apply_col_perm`, the gather P3 runs on every request.
     """
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(d, d)).astype(np.float32)
@@ -50,41 +51,39 @@ def bench_permutation(d=1024, reps=30, seed=0):
 
 
 def bench_transform(cfg, seed=0):
-    """Wall time of one full parameter transformation."""
-    params = gen_model(cfg, seed)
+    """Wall time of one deploy's write: θ′ gathered into the DEPLOY_MODEL container."""
+    served = dataclasses.replace(gen_model(cfg, seed), embedding=None)
     pset = gen_permutation_set(cfg, seed + 1)
     t0 = time.perf_counter()
-    para_trans(params, pset)
+    container.encode_model(served, pset)
     return {"transform_s": time.perf_counter() - t0}
+
+
+def _frame_bytes(frame):
+    return wire.HEADER_SIZE + len(frame.payload)
 
 
 def bench_traffic(n, d, s):
     """Per-message byte counts, both computed from the format and measured.
 
-    A prefill of n rows in reply mode ALL (n×s reply) and in mode TOP1, whose
-    reply names one index; each tie at the maximum adds 4 bytes.
+    A prefill of n rows, whatever its reply mode, then its ALL reply (n×s)
+    and its TOP1 reply, which names one index; each tie at the maximum adds
+    4 bytes.
     """
     overhead = wire.HEADER_SIZE + wire.MATRIX_PREFIX_SIZE
     x = np.zeros((n, d), dtype=np.float32)
     o = np.zeros((n, s), dtype=np.float32)
-    top1 = wire.ReplyMode.TOP1
-    req = len(wire.encode_frame(wire.make_infer_request(x, 1, 0)))
-    resp = len(wire.encode_frame(wire.make_infer_response(o, 1, 0)))
-    top1_req = len(wire.encode_frame(wire.make_infer_request(x, 1, 0, mode=top1)))
-    top1_resp = len(wire.encode_frame(wire.make_top1_response([0], 1, 0)))
     return {
         "n": n,
         "d": d,
         "s": s,
         "frame_overhead_bytes": overhead,
-        "request_bytes_computed": 4 * n * d + overhead,
-        "request_bytes_measured": req,
+        "request_bytes_computed": 4 * n * d + overhead + 8,
+        "request_bytes_measured": _frame_bytes(wire.make_infer_request(x, 1, 0)),
         "response_bytes_computed": 4 * n * s + overhead,
-        "response_bytes_measured": resp,
-        "top1_request_bytes_computed": 4 * n * d + overhead + 8,
-        "top1_request_bytes_measured": top1_req,
+        "response_bytes_measured": _frame_bytes(wire.make_infer_response(o, 1, 0)),
         "top1_response_bytes_computed": wire.HEADER_SIZE + 4 + 4,
-        "top1_response_bytes_measured": top1_resp,
+        "top1_response_bytes_measured": _frame_bytes(wire.make_top1_response([0], 1, 0)),
     }
 
 

@@ -56,9 +56,6 @@ class Permutation:
     def dim(self):
         return int(self.indices.size)
 
-    def is_identity(self):
-        return bool(np.array_equal(self.indices, np.arange(self.dim)))
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and np.array_equal(
             self.indices, other.indices
@@ -85,13 +82,6 @@ def inverse_perm(p):
     inv = np.empty(p.dim, dtype=np.int64)
     inv[p.indices] = np.arange(p.dim)
     return Permutation(inv)
-
-
-def compose_perm(p, q):
-    """Permutation equivalent to applying p, then q (x·P·Q)."""
-    if p.dim != q.dim:
-        raise InvalidDimensionError(f"compose dims differ: {p.dim} vs {q.dim}")
-    return Permutation(p.indices[q.indices])
 
 
 def to_matrix(p):

@@ -25,10 +25,11 @@ P2 keeps θ′, its epoch and a count of deployments; a REKEY notice that
 retires the current epoch drops θ′, and with it the payload. At the first
 inference request on a θ′, P2 widens its dense matrices (W′_q, W′_k, W′_v
 and W′_o of every layer, a dense layer's W′_1/W′_2/W′_3, and W′_c) to
-float64 copies in place. The engine computes its products in float64, so a
-one-row step no longer casts each of these on every call, and every output
-bit stays the same. MoE experts, W′_g and the norm vectors stay float32
-views into the payload, and the container and `state_bytes()` stay float32.
+float64 copies in place, and copies its norm vectors as float32. The engine
+computes its products in float64, so a one-row step no longer casts each of
+these on every call, and every output bit stays the same. A dense θ′ then
+holds no view into the payload, which is freed; MoE experts and W′_g stay
+float32 views into it. The container and `state_bytes()` stay float32.
 
 P2 serves each link in one party's role: P1's link may deploy and re-key,
 P3's link may only ask for inference.
@@ -172,10 +173,6 @@ class DeveloperParty:
         """Advisory epoch-bump frame announcing that the previous epoch retired."""
         return wire.make_rekey(self.epoch, self.epoch - 1, self.session_id)
 
-    def handle(self, frame):
-        """P1 never participates in inference traffic."""
-        raise ProtocolError(f"developer cannot accept {frame.msg_type.name}")
-
     def state_bytes(self):
         out = container.encode_model(self.params)
         if self.pset is not None:
@@ -202,10 +199,11 @@ class ServerParty:
     at and a count of deployments. A deploy installs θ′ as decoded: float32,
     read-only views into the DEPLOY_MODEL payload, which θ′ keeps alive. The
     first inference request served on it replaces its dense matrices with
-    float64 copies (`_widen_dense`), so the deploy itself pays nothing for
-    that. A REKEY notice that retires the current epoch drops θ′, and so
-    the payload; the epoch stays, so requests at it are refused as stale
-    until a new θ′ arrives.
+    float64 copies and its norm vectors with float32 ones (`_widen_dense`),
+    so the deploy itself pays nothing for that, and a dense θ′ then lets the
+    payload go. A REKEY notice that retires the current epoch drops θ′, and
+    with it any payload it still views; the epoch stays, so requests at it
+    are refused as stale until a new θ′ arrives.
     """
 
     role = "Server"
@@ -256,7 +254,9 @@ class ServerParty:
         retired, or at another epoch, StaleEpochError. The first request
         accepted on a θ′ whose W′_c is still float32 widens its dense matrices
         to float64 (`_widen_dense`), under the lock and before any forward
-        pass runs on it; a refused request widens nothing.
+        pass runs on it. Every check on the request (its trailer, width and
+        start against the link's cache) runs first, so a refused request
+        widens nothing.
         """
         if frame.msg_type is not wire.MsgType.INFER_REQUEST:
             raise ProtocolError(f"expected INFER_REQUEST, got {frame.msg_type.name}")
@@ -268,8 +268,6 @@ class ServerParty:
                 raise StaleEpochError(
                     f"request epoch {frame.epoch}, current epoch {self.epoch}"
                 )
-            if model.w_c.dtype != np.float64:
-                _widen_dense(model)
             epoch = self.epoch
             deployment = self.deployments
         cfg = model.config
@@ -281,12 +279,7 @@ class ServerParty:
                 f"request is {x.shape[0]}x{x.shape[1]}, model needs n>=1 rows "
                 f"of width {cfg.d_model}"
             )
-        kv = None
-        if start == 0:
-            if cache is not None:
-                cache.deployment = deployment
-                kv = cache.kv = KVCache(cfg.n_layers)
-        else:
+        if start:
             if cache is None or cache.kv is None:
                 raise ProtocolError(f"decode step at row {start} without a prefill")
             if cache.deployment != deployment:
@@ -296,7 +289,13 @@ class ServerParty:
                 raise ProtocolError(
                     f"decode step at row {start}, link holds {cache.kv.rows} rows"
                 )
-            kv = cache.kv
+        with self._lock:
+            if model.w_c.dtype != np.float64:
+                _widen_dense(model)
+        if start == 0 and cache is not None:
+            cache.deployment = deployment
+            cache.kv = KVCache(cfg.n_layers)
+        kv = None if cache is None else cache.kv
         mask = make_mask(cfg.mask_kind, n=x.shape[0])
         try:
             top1 = mode == wire.ReplyMode.TOP1
@@ -492,12 +491,17 @@ def _widen_dense(model):
     and W_3, and W_c, last, so a float64 W_c marks the model widened. Each
     copy replaces a float32 view into the deploy payload. `numerics.matmul` takes
     a float64 operand as it is and computes in float64 anyway, so every
-    product gives the same bytes. MoE experts, W_g and the norm vectors stay
-    float32: the experts are most of an MoE model's bytes.
+    product gives the same bytes. MoE experts and W_g stay float32 views:
+    the experts are most of an MoE model's bytes. The norm vectors become
+    float32 copies, so a dense θ′ no longer keeps the payload alive.
     """
     for w in model.layers:
         for name in ("w_q", "w_k", "w_v", "w_o"):
             setattr(w, name, getattr(w, name).astype(np.float64))
+        for name in ("gamma_1", "gamma_2", "beta_1", "beta_2"):
+            t = getattr(w, name)
+            if t is not None:
+                setattr(w, name, t.copy())
         if w.ffn is not None:
             for name in ("w1", "w2", "w3"):
                 t = getattr(w.ffn, name)

@@ -55,12 +55,6 @@ class PermutationSet:
     def count(self):
         return 2 + sum(2 + len(lp.pi3s) for lp in self.per_layer)
 
-    def all_perms(self):
-        out = [self.pi, self.pi_c]
-        for lp in self.per_layer:
-            out.extend([lp.pi1, lp.pi2, *lp.pi3s])
-        return out
-
 
 def gen_permutation_set(cfg, seed, identity=False):
     """Independent uniform permutations for every slot; deterministic per seed."""
@@ -97,8 +91,13 @@ def _ffn(fw, pi, pi3, make):
 
 
 def _layer(w, pi, lp, cfg, make):
-    """The rules of `transform_layer`, each tensor built by make(tensor, rows, cols)."""
-    if pi.dim != cfg.d_model or lp.pi1.dim != cfg.d_model or lp.pi2.dim != cfg.d_model:
+    """One layer of θ′, each tensor built by make(tensor, rows, cols).
+
+    W_q′=πᵀW_qπ₁, W_k′=πᵀW_kπ₁, W_v′=πᵀW_vπ₂, W_o′=π₂ᵀW_oπ, FFN via π₃,
+    γ′=γπ, β′=βπ. Mixture layers additionally get W_g′ = πᵀW_g (router
+    logits are invariant) and each expert transformed with its own π₃.
+    """
+    if lp.pi1.dim != cfg.d_model or lp.pi2.dim != cfg.d_model:
         raise InvalidDimensionError("feature permutation dims do not match d_model")
     if any(p3.dim != cfg.d_ff for p3 in lp.pi3s):
         raise InvalidDimensionError("inner permutation dims do not match d_ff")
@@ -129,24 +128,6 @@ def _layer(w, pi, lp, cfg, make):
     )
 
 
-def transform_layer(w, pi, layer_perms, cfg):
-    """W_q′=πᵀW_qπ₁, W_k′=πᵀW_kπ₁, W_v′=πᵀW_vπ₂, W_o′=π₂ᵀW_oπ, FFN via π₃, γ′=γπ, β′=βπ.
-
-    Mixture layers additionally get W_g′ = πᵀW_g (router logits are invariant)
-    and each expert transformed with its own π₃.
-    """
-    return _layer(w, pi, layer_perms, cfg, _two_sided)
-
-
-def transform_classifier(w_c, pi, pi_c):
-    """W_c′ = πᵀ W_c π_c."""
-    if w_c.shape[0] != pi.dim or w_c.shape[1] != pi_c.dim:
-        raise InvalidDimensionError(
-            f"classifier {w_c.shape} vs perms ({pi.dim}, {pi_c.dim})"
-        )
-    return _two_sided(w_c, pi, pi_c)
-
-
 def _theta_prime(params, pset, make):
     cfg = params.config
     if pset.pi.dim != cfg.d_model or pset.pi_c.dim != cfg.vocab_size:
@@ -168,7 +149,7 @@ def _theta_prime(params, pset, make):
 
 
 def para_trans(params, pset):
-    """θ′: every layer and the classifier transformed; the embedding table stays as is."""
+    """θ′: every layer (`_layer`) and W_c′ = πᵀW_cπ_c; the embedding table stays as is."""
     return _theta_prime(params, pset, _two_sided)
 
 

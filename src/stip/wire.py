@@ -4,11 +4,9 @@ Frame header (little-endian, 31 bytes): magic "STIP", version u16, msg_type u8,
 epoch u64, session_id u64, payload_len u64. The payload encoding depends on the
 message type; matrices travel as (rows u32, cols u32, f32 row-major).
 
-An INFER_REQUEST payload is the matrix x′, then a trailer of 0, 4 or 8 bytes:
-- none: a prefill (start 0) with reply mode ALL;
-- u32 `start` > 0: a decode step with reply mode ALL, where `start` is the
-  number of rows the server must already hold for this link;
-- u32 `start` (0 for a prefill), u32 reply mode: any mode other than ALL.
+An INFER_REQUEST payload is the matrix x′, then an 8-byte trailer: u32
+`start`, the number of rows the server must already hold for this link (0 for
+a prefill), and u32 reply mode.
 
 The INFER_RESPONSE payload depends on the reply mode the request named:
 - ALL: the matrix o′, one softmax row per request row;
@@ -36,8 +34,7 @@ HEADER_SIZE = _HEADER.size  # 31
 _MATRIX_PREFIX = struct.Struct("<II")
 MATRIX_PREFIX_SIZE = _MATRIX_PREFIX.size  # 8
 
-_START_TRAILER = struct.Struct("<I")
-_MODE_TRAILER = struct.Struct("<II")
+_REQUEST_TRAILER = struct.Struct("<II")
 _TOP1_COUNT = struct.Struct("<I")
 _ERROR_PREFIX = struct.Struct("<H")
 _REKEY_PAYLOAD = struct.Struct("<Q")
@@ -89,11 +86,6 @@ def encode_header(frame):
     )
 
 
-def encode_frame(frame):
-    """Frame -> header + payload bytes."""
-    return encode_header(frame) + frame.payload
-
-
 def decode_header(raw):
     """31 header bytes -> (msg_type, epoch, session_id, payload_len)."""
     if len(raw) != HEADER_SIZE:
@@ -118,13 +110,6 @@ def frame_from_parts(header, payload):
             f"payload length {len(payload)} != declared {payload_len}"
         )
     return Frame(msg_type, epoch, session_id, payload)
-
-
-def decode_frame(raw):
-    """Full frame bytes -> Frame; length must match the header exactly."""
-    if len(raw) < HEADER_SIZE:
-        raise CodecError(f"frame shorter than header: {len(raw)} bytes")
-    return frame_from_parts(raw[:HEADER_SIZE], bytes(raw[HEADER_SIZE:]))
 
 
 def encode_matrix(m):
@@ -187,17 +172,8 @@ def make_deploy_keys(keys_bytes, epoch, session_id):
 
 
 def make_infer_request(x, epoch, session_id, start=0, mode=ReplyMode.ALL):
-    """Rows x of a sequence; start > 0 says the server already holds `start` rows.
-
-    In mode ALL a prefill (start 0) is the bare matrix and a decode step
-    appends start as a u32. Any other mode appends start and the mode as two
-    u32s, whatever the start.
-    """
-    payload = encode_matrix(x)
-    if mode != ReplyMode.ALL:
-        payload += _MODE_TRAILER.pack(start, mode)
-    elif start:
-        payload += _START_TRAILER.pack(start)
+    """Rows x of a sequence; start > 0 says the server already holds `start` rows."""
+    payload = encode_matrix(x) + _REQUEST_TRAILER.pack(start, mode)
     return Frame(MsgType.INFER_REQUEST, epoch, session_id, payload)
 
 
@@ -205,27 +181,16 @@ def decode_infer_request(raw):
     """INFER_REQUEST payload -> (x, start, mode); the inverse of make_infer_request."""
     rows, cols = matrix_dims(raw)
     end = MATRIX_PREFIX_SIZE + 4 * rows * cols
-    trailer = raw[end:]
-    if not trailer:
-        return decode_matrix(raw), 0, ReplyMode.ALL
-    if len(trailer) == _START_TRAILER.size:
-        (start,) = _START_TRAILER.unpack(trailer)
-        if start == 0:
-            raise CodecError("a prefill request carries no start trailer")
-        mode = ReplyMode.ALL
-    elif len(trailer) == _MODE_TRAILER.size:
-        start, code = _MODE_TRAILER.unpack(trailer)
-        try:
-            mode = ReplyMode(code)
-        except ValueError:
-            raise CodecError(f"unknown reply mode {code}") from None
-        if mode is ReplyMode.ALL:
-            raise CodecError("reply mode ALL is named by a bare or start-only trailer")
-    else:
+    if len(raw) != end + _REQUEST_TRAILER.size:
         raise CodecError(
-            f"request trailer is {len(trailer)} bytes, expected 0, "
-            f"{_START_TRAILER.size} or {_MODE_TRAILER.size}"
+            f"request payload is {len(raw)} bytes, a {rows}x{cols} request "
+            f"needs {end + _REQUEST_TRAILER.size}"
         )
+    start, code = _REQUEST_TRAILER.unpack_from(raw, end)
+    try:
+        mode = ReplyMode(code)
+    except ValueError:
+        raise CodecError(f"unknown reply mode {code}") from None
     return decode_matrix(memoryview(raw)[:end]), start, mode
 
 

@@ -5,6 +5,7 @@ Each test prints one `[criterion N] PASS/FAIL — detail` line (visible under
 """
 
 import math
+import socket
 import time
 
 import numpy as np
@@ -27,6 +28,7 @@ from stip.security import (
     unauthorized_use_demo,
 )
 from stip.transform import gen_permutation_set, para_trans, recover_output
+from stip.transport import SocketTransport, inproc_pair
 
 DESK = dict(n_layers=4, d_model=64, d_ff=256, vocab_size=100)
 
@@ -282,38 +284,58 @@ def test_criterion_09_permutation_speed_and_transform_time():
         9,
         ok,
         f"1024×1024 index perm median {perm['index_median_s'] * 1e6:.0f}µs vs "
-        f"matmul {perm['matmul_median_s'] * 1e6:.0f}µs; desk transform {tr['transform_s'] * 1e3:.0f}ms",
+        f"matmul {perm['matmul_median_s'] * 1e6:.0f}µs; desk deploy write {tr['transform_s'] * 1e3:.0f}ms",
     )
+
+
+def _random_frame(rng, i):
+    """Frame i of criterion 10: message type i mod 7, random epoch, session and payload."""
+    kind = list(wire.MsgType)[i % 7]
+    epoch = int(rng.integers(0, 2**63))
+    session = int(rng.integers(0, 2**63))
+    if kind in (wire.MsgType.INFER_REQUEST, wire.MsgType.INFER_RESPONSE):
+        m = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 9))))
+        m = m.astype(np.float32)
+        if i % 5 == 0:
+            m[0, 0] = -np.inf
+        maker = (
+            wire.make_infer_request
+            if kind is wire.MsgType.INFER_REQUEST
+            else wire.make_infer_response
+        )
+        return maker(m, epoch, session)
+    if kind is wire.MsgType.REKEY:
+        return wire.make_rekey(epoch, max(epoch - 1, 0), session)
+    if kind is wire.MsgType.ERROR:
+        return wire.make_error(wire.ErrorCode.INTERNAL, f"detail {i}", epoch, session)
+    if kind is wire.MsgType.ACK:
+        return wire.make_ack(epoch, session)
+    return wire.Frame(kind, epoch, session, rng.bytes(int(rng.integers(0, 200))))
+
+
+def _wire_bytes(frame):
+    return wire.encode_header(frame) + bytes(frame.payload)
 
 
 def test_criterion_10_wire_round_trip_1000_frames():
     rng = np.random.default_rng(18000)
     failures = 0
-    for i in range(1000):
-        kind = list(wire.MsgType)[i % 7]
-        epoch = int(rng.integers(0, 2**63))
-        session = int(rng.integers(0, 2**63))
-        if kind in (wire.MsgType.INFER_REQUEST, wire.MsgType.INFER_RESPONSE):
-            m = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 9))))
-            m = m.astype(np.float32)
-            if i % 5 == 0:
-                m[0, 0] = -np.inf
-            maker = (
-                wire.make_infer_request
-                if kind is wire.MsgType.INFER_REQUEST
-                else wire.make_infer_response
-            )
-            frame = maker(m, epoch, session)
-        elif kind is wire.MsgType.REKEY:
-            frame = wire.make_rekey(epoch, max(epoch - 1, 0), session)
-        elif kind is wire.MsgType.ERROR:
-            frame = wire.make_error(wire.ErrorCode.INTERNAL, f"detail {i}", epoch, session)
-        elif kind is wire.MsgType.ACK:
-            frame = wire.make_ack(epoch, session)
-        else:
-            frame = wire.Frame(kind, epoch, session, rng.bytes(int(rng.integers(0, 200))))
-        raw = wire.encode_frame(frame)
-        again = wire.encode_frame(wire.decode_frame(raw))
-        failures += raw != again
+    a, b = socket.socketpair()
+    inproc, sock = inproc_pair(), (SocketTransport(a), SocketTransport(b))
+    try:
+        for i in range(1000):
+            frame = _random_frame(rng, i)
+            raw = _wire_bytes(frame)
+            for near, far in (inproc, sock):
+                near.send(frame)
+                failures += _wire_bytes(far.recv(timeout=5)) != raw
+    finally:
+        for link in (*inproc, *sock):
+            link.close()
     ok = failures == 0
-    report(10, ok, f"1000 randomized frames across all 7 message types, {failures} round-trip failures")
+    report(
+        10,
+        ok,
+        f"1000 randomized frames across all 7 message types, each through an "
+        f"in-process pair and a socket pair, {failures} round-trip failures",
+    )

@@ -278,28 +278,26 @@ def test_cache_rejects_custom_mask_and_wrong_depth():
         model_forward(x, params, make_mask(MaskKind.CAUSAL), cache=KVCache(1))
 
 
-# --- wire: the start trailer ------------------------------------------------------
+# --- wire: the request trailer ----------------------------------------------------
 
 
-def test_step_request_round_trip_and_prefill_payload_unchanged():
+@pytest.mark.parametrize("start", [0, 7])
+def test_all_request_carries_start_and_mode(start):
     x = np.arange(6, dtype=F32).reshape(2, 3)
-    prefill = wire.make_infer_request(x, 1, 2)
-    assert prefill.payload == wire.encode_matrix(x)
-    got, start, mode = wire.decode_infer_request(prefill.payload)
-    assert start == 0 and mode is wire.ReplyMode.ALL and np.array_equal(got, x)
-    step = wire.make_infer_request(x[:1], 1, 2, start=7)
-    assert len(step.payload) == len(wire.encode_matrix(x[:1])) + 4
-    got, start, mode = wire.decode_infer_request(step.payload)
-    assert start == 7 and mode is wire.ReplyMode.ALL and np.array_equal(got, x[:1])
+    req = wire.make_infer_request(x, 1, 2, start=start)
+    assert req.payload == wire.encode_matrix(x) + struct.pack("<II", start, wire.ReplyMode.ALL)
+    got, got_start, mode = wire.decode_infer_request(req.payload)
+    assert (got_start, mode) == (start, wire.ReplyMode.ALL) and np.array_equal(got, x)
 
 
 @pytest.mark.parametrize(
     "trailer",
     [
+        pytest.param(b"", id="none"),
         b"\x01",
         b"\x00\x00\x00\x00",
+        pytest.param(struct.pack("<I", 7), id="start_only"),
         b"\x01" * 5,
-        struct.pack("<II", 0, wire.ReplyMode.ALL),  # ALL has no mode trailer
         struct.pack("<II", 3, 9),  # no such mode
         b"\x01" * 9,
     ],
@@ -506,8 +504,7 @@ def test_decode_wire_bytes_follow_rows_in_equals_rows_out():
     assert transcript.frame_bytes(wire.MsgType.INFER_RESPONSE) == new * (
         wire.HEADER_SIZE + 4 + 4
     )
-    # ALL replies keep one row per request row: a bare prefill, then a step
-    # with a 4-byte start trailer
+    # ALL replies keep one row per request row
     _, p2, p3 = deployed(params, seed=25)
     cache = LinkCache()
     prefill = p2.serve(p3.infer_request(prompt), cache)

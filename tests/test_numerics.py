@@ -22,7 +22,6 @@ from stip.numerics import (
     apply_col_perm,
     apply_row_perm,
     apply_vec_perm,
-    compose_perm,
     gelu,
     gen_permutation,
     identity_perm,
@@ -127,7 +126,7 @@ def test_apply_row_perm_dim_mismatch():
         apply_row_perm(randm((2, 3)), gen_permutation(3, 0))
 
 
-# --- inverse / compose ----------------------------------------------------
+# --- inverse ------------------------------------------------------------
 
 
 def test_inverse_identity():
@@ -137,12 +136,6 @@ def test_inverse_identity():
 def test_inverse_hand_case():
     p = Permutation(np.array([2, 0, 1], dtype=np.int64))
     assert inverse_perm(p).indices.tolist() == [1, 2, 0]
-
-
-def test_compose_with_inverse_is_identity():
-    p = gen_permutation(8, 9)
-    assert compose_perm(p, inverse_perm(p)) == identity_perm(8)
-    assert compose_perm(inverse_perm(p), p) == identity_perm(8)
 
 
 @given(st.integers(1, 32), st.integers(0, 10**6))

@@ -20,6 +20,8 @@ from conftest import VARIANT_CONFIGS, make_config, overflowing_container
 from stip import container, wire
 from stip.errors import (
     AbortedGenerationError,
+    CodecError,
+    InvalidDimensionError,
     NotInitializedError,
     ProtocolError,
     StaleEpochError,
@@ -95,12 +97,6 @@ def test_deploy_keys_payload_is_shared_half():
     assert pset.per_layer == ()
 
 
-def test_developer_never_accepts_frames():
-    p1 = DeveloperParty(desk_params(8), session_seed=0)
-    with pytest.raises(ProtocolError):
-        p1.handle(wire.make_ack(1, 2))
-
-
 def test_rekey_requires_initialize():
     p1 = DeveloperParty(desk_params(9), session_seed=0)
     with pytest.raises(NotInitializedError):
@@ -136,14 +132,15 @@ def test_infer_request_identity_keys_carry_raw_embeddings():
     params = desk_params(14)
     _, _, p3 = deployed_parties(params, seed=15, identity=True)
     req = p3.infer_request([0, 1, 2])
-    assert req.payload == wire.encode_matrix(embed([0, 1, 2], params.embedding))
+    x, _, _ = wire.decode_infer_request(req.payload)
+    assert x.tobytes() == embed([0, 1, 2], params.embedding).tobytes()
 
 
 def test_infer_request_dims():
     params = desk_params(16)
     _, _, p3 = deployed_parties(params, seed=17)
     req = p3.infer_request([3, 1, 4, 1])
-    x = wire.decode_matrix(req.payload)
+    x, _, _ = wire.decode_infer_request(req.payload)
     assert x.shape == (4, params.config.d_model)
 
 
@@ -516,6 +513,62 @@ def test_redeploy_installs_float32_and_widens_again_at_its_first_request():
     assert np.max(np.abs(after - before)) <= 1e-4
 
 
+@pytest.mark.parametrize("bad", ["trailer", "width", "step"])
+def test_a_refused_first_request_widens_nothing(bad):
+    params = desk_params(160)
+    _, p2, p3 = deployed_parties(params, seed=161)
+    top1 = wire.ReplyMode.TOP1
+    req = p3.infer_request([0, 1], mode=top1)
+    if bad == "trailer":
+        req = replace(req, payload=req.payload[:-4])
+    elif bad == "width":
+        x = np.ones((2, params.config.d_model + 1), F32)
+        req = wire.make_infer_request(x, p2.epoch, req.session_id, mode=top1)
+    else:
+        req = p3.infer_request([0], start=2, mode=top1)
+    cache = stip.protocol.LinkCache()
+    with pytest.raises((CodecError, InvalidDimensionError, ProtocolError)):
+        p2.serve(req, cache)
+    assert set(_dtypes(p2.model).values()) == {np.dtype(F32)}
+    _widened_on_first_request(p2, p3)
+
+
+@pytest.mark.parametrize("variant", sorted(WIDE_VARIANTS))
+def test_widened_dense_theta_prime_lets_the_payload_go(variant):
+    """After the widening first request a dense θ′ holds no view into the
+    deploy payload, so the payload is freed; an MoE θ′ still views it for
+    its experts and W′_g."""
+
+    class Payload(bytearray):
+        """A container that can be weakly referenced."""
+
+    params = desk_params(162, **WIDE_VARIANTS[variant])
+    p1 = DeveloperParty(params, session_seed=163)
+    p2 = ServerParty()
+    p3 = DataOwnerParty(params.embedding, session_seed=164)
+    to_p2, to_p3 = p1.initialize(165)
+    p3.handle_deploy_keys(to_p3)
+    payload = Payload(to_p2.payload)
+    p2.handle_deploy(wire.make_deploy_model(payload, to_p2.epoch, to_p2.session_id))
+    alive = weakref.ref(payload)
+    del to_p2
+    _widened_on_first_request(p2, p3)
+    raw = np.frombuffer(payload, np.uint8)
+    views = {
+        name
+        for name, tensor in container._tensor_map(p2.model).items()
+        if np.shares_memory(tensor, raw)
+    }
+    del raw, payload
+    gc.collect()
+    if params.config.is_moe:
+        assert views and all(".experts." in n or n.endswith("W_g") for n in views)
+        assert alive() is not None
+    else:
+        assert views == set()
+        assert alive() is None
+
+
 @pytest.mark.parametrize("widened", [False, True], ids=["float32", "widened"])
 def test_stale_epoch_request_is_refused_whether_or_not_widened(widened):
     params = desk_params(135)
@@ -655,7 +708,9 @@ def test_state_partition():
     def key_bytes(perm):
         return perm.indices.astype("<u4").tobytes()
 
-    for perm in p1.pset.all_perms():
+    pset = p1.pset
+    private = [p for lp in pset.per_layer for p in (lp.pi1, lp.pi2, *lp.pi3s)]
+    for perm in (pset.pi, pset.pi_c, *private):
         assert key_bytes(perm) not in p2_state
     assert key_bytes(p3.pi) in p3_state
     assert key_bytes(p3.pi_c) in p3_state

@@ -346,7 +346,7 @@ def test_row_fingerprint_recovers_tokens_and_pi_from_a_request_given_e():
     p3 = DataOwnerParty(params.embedding, session_seed=47)
     p3.handle_deploy_keys(p1.initialize(48)[1])
     ids = [5, 0, 33, 5, 17, 39, 2, 21]
-    x_perm = wire.decode_matrix(p3.infer_request(ids).payload)
+    x_perm, _, _ = wire.decode_infer_request(p3.infer_request(ids).payload)
     got, res = row_fingerprint_attack(params.embedding.table, x_perm)
     assert got.tolist() == ids
     assert res.outcome is KpaOutcome.RECOVERED

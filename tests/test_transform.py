@@ -31,8 +31,6 @@ from stip.transform import (
     gen_permutation_set,
     para_trans,
     recover_output,
-    transform_classifier,
-    transform_layer,
     verify_equivalence,
 )
 
@@ -45,6 +43,22 @@ def randm(shape, seed=0):
 
 def swap2():
     return Permutation(np.array([1, 0], dtype=np.int64))
+
+
+def layer_prime(params, pi, lp):
+    """Layer 0 of θ′ as para_trans writes it under π and lp; other keys are identities."""
+    ident = gen_permutation_set(params.config, 0, identity=True)
+    pset = replace(ident, pi=pi, per_layer=(lp, *ident.per_layer[1:]))
+    return para_trans(params, pset).layers[0]
+
+
+def classifier_prime(w_c, pi, pi_c):
+    """W_c′ as para_trans writes it for a model whose classifier is w_c."""
+    d, s = w_c.shape
+    cfg = make_config(n_layers=1, d_model=d, d_ff=4, vocab_size=s)
+    params = replace(gen_model(cfg, 0), w_c=w_c)
+    ident = gen_permutation_set(cfg, 0, identity=True)
+    return para_trans(params, replace(ident, pi=pi, pi_c=pi_c)).w_c
 
 
 # --- permutation set -----------------------------------------------------
@@ -82,21 +96,22 @@ def test_set_moe_cardinality():
 def test_identity_set_flag():
     cfg = make_config(n_experts=3)
     pset = gen_permutation_set(cfg, 9, identity=True)
-    assert pset.pi.is_identity() and pset.pi_c.is_identity()
+    d, m = identity_perm(cfg.d_model), identity_perm(cfg.d_ff)
+    assert pset.pi == d and pset.pi_c == identity_perm(cfg.vocab_size)
     for lp in pset.per_layer:
-        assert lp.pi1.is_identity() and lp.pi2.is_identity()
-        assert len(lp.pi3s) == 3 and all(pi3.is_identity() for pi3 in lp.pi3s)
-    assert not gen_permutation_set(cfg, 9).pi.is_identity()
+        assert lp.pi1 == d and lp.pi2 == d
+        assert len(lp.pi3s) == 3 and all(pi3 == m for pi3 in lp.pi3s)
+    assert gen_permutation_set(cfg, 9).pi != d
 
 
-# --- layer transform -------------------------------------------------------
+# --- layer transform, through para_trans -----------------------------------
 
 
 def test_transform_layer_identity_is_noop():
     cfg = make_config(n_layers=1)
     params = gen_model(cfg, 10)
     pset = gen_permutation_set(cfg, 11, identity=True)
-    out = transform_layer(params.layers[0], pset.pi, pset.per_layer[0], cfg)
+    out = para_trans(params, pset).layers[0]
     assert np.array_equal(out.w_q, params.layers[0].w_q)
     assert np.array_equal(out.ffn.w2, params.layers[0].ffn.w2)
     assert np.array_equal(out.gamma_1, params.layers[0].gamma_1)
@@ -108,7 +123,7 @@ def test_transform_layer_hand_case():
     w = params.layers[0]
     lp = LayerPerms(pi1=identity_perm(2), pi2=identity_perm(2), pi3s=(identity_perm(2),))
     object.__setattr__(w, "w_q", np.array([[1.0, 2.0], [3.0, 4.0]], dtype=F32))
-    out = transform_layer(w, swap2(), lp, cfg)
+    out = layer_prime(params, swap2(), lp)
     assert out.w_q.tolist() == [[3.0, 4.0], [1.0, 2.0]]
 
 
@@ -118,7 +133,7 @@ def test_transform_layer_follows_cited_rules():
     pset = gen_permutation_set(cfg, 14)
     w = params.layers[0]
     lp = pset.per_layer[0]
-    out = transform_layer(w, pset.pi, lp, cfg)
+    out = para_trans(params, pset).layers[0]
     P = to_matrix(pset.pi)
     P1 = to_matrix(lp.pi1)
     P2 = to_matrix(lp.pi2)
@@ -139,7 +154,7 @@ def test_transform_layer_swiglu_w3_rule():
     pset = gen_permutation_set(cfg, 16)
     w = params.layers[0]
     lp = pset.per_layer[0]
-    out = transform_layer(w, pset.pi, lp, cfg)
+    out = para_trans(params, pset).layers[0]
     P = to_matrix(pset.pi)
     P3 = to_matrix(lp.pi3)
     assert np.allclose(out.ffn.w1, P.T @ w.ffn.w1 @ P3, atol=1e-6)
@@ -152,7 +167,7 @@ def test_transform_layer_moe_router_and_experts():
     pset = gen_permutation_set(cfg, 18)
     w = params.layers[0]
     lp = pset.per_layer[0]
-    out = transform_layer(w, pset.pi, lp, cfg)
+    out = para_trans(params, pset).layers[0]
     P = to_matrix(pset.pi)
     assert np.allclose(out.w_g, P.T @ w.w_g, atol=1e-6)
     for j in range(3):
@@ -165,7 +180,7 @@ def test_transform_layer_dim_mismatch():
     params = gen_model(cfg, 19)
     lp = LayerPerms(pi1=identity_perm(3), pi2=identity_perm(4), pi3s=(identity_perm(6),))
     with pytest.raises(InvalidDimensionError):
-        transform_layer(params.layers[0], identity_perm(4), lp, cfg)
+        layer_prime(params, identity_perm(4), lp)
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (4, 6), (33, 7), (64, 256)])
@@ -179,12 +194,12 @@ def test_two_sided_take_equals_row_then_column_gather(rows, cols):
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-# --- classifier / projection -------------------------------------------------
+# --- classifier, through para_trans -----------------------------------------
 
 
 def test_transform_classifier_identity():
     w_c = randm((4, 6), 20)
-    out = transform_classifier(w_c, identity_perm(4), identity_perm(6))
+    out = classifier_prime(w_c, identity_perm(4), identity_perm(6))
     assert np.array_equal(out, w_c)
 
 
@@ -192,7 +207,7 @@ def test_transform_classifier_output_permutation_oracle():
     w_c = randm((5, 7), 21)
     pi = gen_permutation(5, 22)
     pi_c = gen_permutation(7, 23)
-    wc_prime = transform_classifier(w_c, pi, pi_c)
+    wc_prime = classifier_prime(w_c, pi, pi_c)
     y = randm((3, 5), 24)
     lhs = apply_col_perm(y, pi) @ wc_prime
     rhs = apply_col_perm(y @ w_c, pi_c)
@@ -201,7 +216,7 @@ def test_transform_classifier_output_permutation_oracle():
 
 def test_transform_classifier_hand_swap():
     w_c = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=F32)
-    out = transform_classifier(w_c, swap2(), swap2())
+    out = classifier_prime(w_c, swap2(), swap2())
     assert out.tolist() == [[4.0, 3.0], [2.0, 1.0]]
 
 

@@ -17,7 +17,7 @@ from stip.wire import (
     Frame,
     MsgType,
     decode_error_payload,
-    encode_frame,
+    encode_header,
     encode_matrix,
 )
 
@@ -201,7 +201,7 @@ def test_socket_eight_megabyte_frame_intact():
 
 def test_socket_frame_from_a_peer_writing_small_chunks():
     near, raw = socket_pair()
-    data = encode_frame(frame(BIG))
+    data = encode_header(frame(BIG)) + BIG
 
     def trickle():
         for i in range(0, len(data), 4093):
@@ -221,7 +221,7 @@ def test_socket_frame_from_a_peer_writing_small_chunks():
 
 
 def header(payload_len):
-    return encode_frame(frame(b""))[: HEADER_SIZE - 8] + struct.pack("<Q", payload_len)
+    return encode_header(frame(b""))[: HEADER_SIZE - 8] + struct.pack("<Q", payload_len)
 
 
 def test_oversize_declared_length_is_a_codec_error():

@@ -17,14 +17,16 @@ from stip.wire import (
     ErrorCode,
     Frame,
     MsgType,
+    ReplyMode,
     decode_error_payload,
-    decode_frame,
     decode_header,
+    decode_infer_request,
     decode_matrix,
     decode_rekey_payload,
     encode_error_payload,
-    encode_frame,
+    encode_header,
     encode_matrix,
+    frame_from_parts,
     make_ack,
     make_deploy_keys,
     make_deploy_model,
@@ -37,6 +39,15 @@ from stip.wire import (
 F32 = np.float32
 
 
+def encoded(frame):
+    """A frame's bytes on the wire: its header, then its payload."""
+    return encode_header(frame) + bytes(frame.payload)
+
+
+def decoded(raw):
+    return frame_from_parts(raw[:HEADER_SIZE], raw[HEADER_SIZE:])
+
+
 def test_header_size():
     assert HEADER_SIZE == 31
     assert MATRIX_PREFIX_SIZE == 8
@@ -44,51 +55,62 @@ def test_header_size():
 
 def test_frame_bytes_match_struct_oracle():
     frame = Frame(msg_type=MsgType.ACK, epoch=5, session_id=7, payload=b"")
-    raw = encode_frame(frame)
+    raw = encoded(frame)
     oracle = struct.pack("<4sHBQQQ", WIRE_MAGIC, WIRE_VERSION, int(MsgType.ACK), 5, 7, 0)
     assert raw == oracle
+
+
+@pytest.mark.parametrize("start", [0, 6], ids=["prefill", "step"])
+def test_top1_request_frames_match_struct_oracle(start):
+    x = np.arange(6, dtype=F32).reshape(2, 3)
+    req = make_infer_request(x, 5, 7, start=start, mode=ReplyMode.TOP1)
+    payload = struct.pack("<II6fII", 2, 3, *range(6), start, ReplyMode.TOP1)
+    head = struct.pack(
+        "<4sHBQQQ", WIRE_MAGIC, WIRE_VERSION, int(MsgType.INFER_REQUEST), 5, 7, 40
+    )
+    assert encoded(req) == head + payload
 
 
 def test_frame_round_trip_each_type():
     for mt in MsgType:
         frame = Frame(msg_type=mt, epoch=3, session_id=11, payload=b"xyz")
-        again = decode_frame(encode_frame(frame))
+        again = decoded(encoded(frame))
         assert again == frame
 
 
 def test_decode_rejects_bad_magic():
-    raw = bytearray(encode_frame(Frame(MsgType.ACK, 1, 1, b"")))
+    raw = bytearray(encoded(Frame(MsgType.ACK, 1, 1, b"")))
     raw[:4] = b"ABCD"
     with pytest.raises(CodecError):
         decode_header(bytes(raw))
 
 
 def test_decode_rejects_bad_version():
-    raw = bytearray(encode_frame(Frame(MsgType.ACK, 1, 1, b"")))
+    raw = bytearray(encoded(Frame(MsgType.ACK, 1, 1, b"")))
     raw[4:6] = struct.pack("<H", 250)
     with pytest.raises(CodecError):
         decode_header(bytes(raw))
 
 
 def test_decode_rejects_unknown_type():
-    raw = bytearray(encode_frame(Frame(MsgType.ACK, 1, 1, b"")))
+    raw = bytearray(encoded(Frame(MsgType.ACK, 1, 1, b"")))
     raw[6] = 99
     with pytest.raises(CodecError):
         decode_header(bytes(raw))
 
 
 def test_decode_rejects_truncated_header():
-    raw = encode_frame(Frame(MsgType.ACK, 1, 1, b""))
+    raw = encoded(Frame(MsgType.ACK, 1, 1, b""))
     with pytest.raises(CodecError):
         decode_header(raw[: HEADER_SIZE - 3])
 
 
 def test_decode_rejects_length_mismatch():
-    raw = encode_frame(Frame(MsgType.ERROR, 1, 1, b"abcd"))
+    raw = encoded(Frame(MsgType.ERROR, 1, 1, b"abcd"))
     with pytest.raises(CodecError):
-        decode_frame(raw[:-1])
+        decoded(raw[:-1])
     with pytest.raises(CodecError):
-        decode_frame(raw + b"!")
+        decoded(raw + b"!")
 
 
 def test_matrix_codec_round_trip():
@@ -151,7 +173,7 @@ def test_make_helpers_set_types():
     assert make_deploy_keys(b"keys", 1, 2).msg_type is MsgType.DEPLOY_KEYS
     req = make_infer_request(x, 1, 2)
     assert req.msg_type is MsgType.INFER_REQUEST
-    assert np.array_equal(decode_matrix(req.payload), x)
+    assert np.array_equal(decode_infer_request(req.payload)[0], x)
     assert make_infer_response(x, 1, 2).msg_type is MsgType.INFER_RESPONSE
     err = make_error(ErrorCode.MALFORMED, "bad", 1, 2)
     assert err.msg_type is MsgType.ERROR
@@ -187,6 +209,6 @@ def test_matrix_sentinel_boundary_documented():
 )
 def test_frame_round_trip_property(mt, epoch, session, payload):
     frame = Frame(msg_type=mt, epoch=epoch, session_id=session, payload=payload)
-    raw = encode_frame(frame)
-    assert decode_frame(raw) == frame
-    assert encode_frame(decode_frame(raw)) == raw
+    raw = encoded(frame)
+    assert decoded(raw) == frame
+    assert encoded(decoded(raw)) == raw
