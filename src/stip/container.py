@@ -14,11 +14,18 @@ layers); any other role is rejected.
 
 -inf mask sentinels are stored as the most-negative finite float32 and
 restored on read (`numerics.sanitize_neg_inf` / `restore_neg_inf`).
+
+Writing a container and reading one back both share their large tensors
+between the calling thread and one helper thread (`_on_two_cores`): each
+tensor's gather and sentinel write, or its sentinel scan, runs on one of
+the two.
 """
 
 import json
 import math
+import os
 import struct
+import threading
 
 import numpy as np
 
@@ -65,6 +72,11 @@ ROLE_PI_C = 1
 ROLE_PI1 = 2
 ROLE_PI2 = 3
 ROLE_PI3 = 4
+
+# Tensors of at least this many elements (256 KiB of float32) are shared out
+# between two threads when a container is written or read. Below it, a
+# gather or a sentinel scan takes less time than handing it to a thread.
+SPLIT_MIN_ELEMENTS = 1 << 16
 
 
 def _decode_enum(codes, raw, what):
@@ -205,14 +217,64 @@ def _tensor_head(name, shape):
     return struct.pack(f"<H{len(nm)}sB{len(shape)}I", len(nm), nm, len(shape), *shape)
 
 
-def encode_model(params, pset=None):
-    """Model -> container bytes, as a bytearray.
+def _on_two_cores(jobs, run):
+    """run(job) for each (elements, job) in `jobs`, here and on at most one helper thread.
 
-    The container is sized first, then each tensor is written straight into
-    it, with no intermediate bytes objects. Given a permutation set, the
-    container holds θ′ = para_trans(params, pset), and each θ′ tensor is
-    gathered from params into its slot (`transform.gather_plan`): θ′ is
-    never written anywhere else.
+    Jobs of at least SPLIT_MIN_ELEMENTS elements are handed out, largest
+    first, alternately to this thread and to one helper thread; smaller ones
+    stay on this thread. No helper starts when it would get no job, or when
+    this process may run on one CPU only. The helper is joined before this
+    returns, and what it raised is raised here.
+    """
+    big = sorted(
+        (i for i, (n, _) in enumerate(jobs) if n >= SPLIT_MIN_ELEMENTS),
+        key=lambda i: -jobs[i][0],
+    )
+    theirs = big[1::2]
+    if not theirs or len(os.sched_getaffinity(0)) < 2:
+        for _, job in jobs:
+            run(job)
+        return
+    failed = []
+
+    def helper():
+        try:
+            for i in theirs:
+                run(jobs[i][1])
+        except BaseException as exc:
+            failed.append(exc)
+
+    t = threading.Thread(target=helper, name="stip-container")
+    t.start()
+    try:
+        skip = set(theirs)
+        for i, (_, job) in enumerate(jobs):
+            if i not in skip:
+                run(job)
+    finally:
+        t.join()
+    if failed:
+        raise failed[0]
+
+
+def _write_tensor(job):
+    t, dst = job
+    if isinstance(t, Gather):
+        t.into(dst)
+    else:
+        dst[...] = t
+    sanitize_neg_inf_in_place(dst)
+
+
+def encode_model(params, pset=None):
+    """Model -> container bytes, as a memoryview (format "B") over a numpy array.
+
+    The container is sized first and allocated without zeroing, then each
+    tensor is written straight into it, with no intermediate bytes objects;
+    every byte is written once. Given a permutation set, the container holds
+    θ′ = para_trans(params, pset), and each θ′ tensor is gathered from params
+    into its slot (`transform.gather_plan`): θ′ is never written anywhere
+    else. Large tensors are written on two threads (`_on_two_cores`).
     """
     if pset is not None:
         params = gather_plan(params, pset)
@@ -221,20 +283,19 @@ def encode_model(params, pset=None):
         shape = np.shape(t)
         tensors.append((_tensor_head(name, shape), shape, t))
     start = _HEAD.size + _CONFIG.size
-    buf = bytearray(start + sum(len(h) + 4 * math.prod(s) for h, s, _ in tensors))
+    size = start + sum(len(h) + 4 * math.prod(s) for h, s, _ in tensors)
+    buf = memoryview(np.empty(size, np.uint8))
     buf[:start] = _HEAD.pack(MODEL_MAGIC, FORMAT_VERSION) + config_to_bytes(params.config)
     off = start
+    jobs = []
     for head, shape, t in tensors:
         buf[off : off + len(head)] = head
         off += len(head)
-        dst = np.frombuffer(buf, dtype="<f4", count=math.prod(shape), offset=off)
-        dst = dst.reshape(shape)
-        if isinstance(t, Gather):
-            t.into(dst)
-        else:
-            dst[...] = t
-        sanitize_neg_inf_in_place(dst)
+        count = math.prod(shape)
+        dst = np.frombuffer(buf, dtype="<f4", count=count, offset=off).reshape(shape)
+        jobs.append((count, (t, dst)))
         off += dst.nbytes
+    _on_two_cores(jobs, _write_tensor)
     return buf
 
 
@@ -259,7 +320,9 @@ class _Reader:
 def decode_model(raw):
     """Container bytes -> model of read-only views into `raw`.
 
-    Bad magic, version or truncation raise CodecError.
+    Every tensor is located first; then the sentinel scans run, those of
+    large tensors on two threads (`_on_two_cores`). Bad magic, version or
+    truncation raise CodecError.
     """
     r = _Reader(raw)
     magic, version = _HEAD.unpack(r.take(_HEAD.size, "header"))
@@ -281,12 +344,17 @@ def decode_model(raw):
         payload = r.take(4 * count, f"tensor {name!r} payload")
         if name in tensors:
             raise CodecError(f"duplicate tensor {name!r}")
-        # No copy: the model holds read-only views into `raw`, which stays
-        # alive as long as any of them does. A tensor that held a sentinel
-        # is a copy with -inf restored, read-only as well.
-        arr = restore_neg_inf(np.frombuffer(payload, dtype="<f4").reshape(dims))
+        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
+
+    # No copy: the model holds read-only views into `raw`, which stays alive
+    # as long as any of them does. A tensor that held a sentinel is a copy
+    # with -inf restored, read-only as well.
+    def restore(name):
+        arr = restore_neg_inf(tensors[name])
         arr.flags.writeable = False
         tensors[name] = arr
+
+    _on_two_cores([(t.size, name) for name, t in tensors.items()], restore)
     return _assemble_model(cfg, tensors)
 
 

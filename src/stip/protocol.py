@@ -18,8 +18,10 @@ every row because later steps attend to them.
 
 A deploy writes θ′ once. P1 gathers each θ′ tensor from its own weights
 straight into its slot in the DEPLOY_MODEL container
-(`container.encode_model(params, pset)`), and P2 serves θ′ from read-only
-views into the payload it received: it keeps no second copy.
+(`container.encode_model(params, pset)`), an unzeroed buffer that the
+gathers fill on two threads, and P2 serves θ′ from read-only views into the
+payload it received: it keeps no second copy. P2's sentinel scan of the
+payload (`container.decode_model`) splits over two threads the same way.
 
 P2 keeps θ′, its epoch and a count of deployments; a REKEY notice that
 retires the current epoch drops θ′, and with it the payload. At the first
@@ -29,7 +31,8 @@ float64 copies in place, and copies its norm vectors as float32. The engine
 computes its products in float64, so a one-row step no longer casts each of
 these on every call, and every output bit stays the same. A dense θ′ then
 holds no view into the payload, which is freed; MoE experts and W′_g stay
-float32 views into it. The container and `state_bytes()` stay float32.
+float32 views into it. The container stays float32, and `state_bytes()`
+returns it as bytes.
 
 P2 serves each link in one party's role: P1's link may deploy and re-key,
 P3's link may only ask for inference.
@@ -174,7 +177,7 @@ class DeveloperParty:
         return wire.make_rekey(self.epoch, self.epoch - 1, self.session_id)
 
     def state_bytes(self):
-        out = container.encode_model(self.params)
+        out = bytes(container.encode_model(self.params))
         if self.pset is not None:
             out += container.encode_keys(self.pset, self.epoch)
         return out
@@ -361,7 +364,7 @@ class ServerParty:
     def state_bytes(self):
         if self.model is None:
             return b""
-        return container.encode_model(self.model)
+        return bytes(container.encode_model(self.model))
 
 
 class DataOwnerParty:
@@ -597,15 +600,20 @@ class _ServerHost:
             t.join(timeout=self.timeout)
 
 
+def _send_for_ack(link, frame, transcript, timeout):
+    """Send one of P1's frames over its `link` and expect P2's ACK."""
+    link.send(frame)
+    if transcript is not None:
+        transcript.log("P1->P2", frame)
+    _expect_ack(link.recv(timeout=timeout))
+
+
 def deploy(link, p3, to_p2, to_p3, transcript=None, timeout=RECV_TIMEOUT):
     """Send θ′ to P2 over P1's `link` and expect its ACK, then hand {π, π_c} to P3.
 
     The link stays open, so one P1 link carries every deploy of a run.
     """
-    link.send(to_p2)
-    if transcript is not None:
-        transcript.log("P1->P2", to_p2)
-    _expect_ack(link.recv(timeout=timeout))
+    _send_for_ack(link, to_p2, transcript, timeout)
     if transcript is not None:
         transcript.log("P1->P3", to_p3)
     _expect_ack(p3.handle_deploy_keys(to_p3))
@@ -624,7 +632,9 @@ def run_simulation(
 ):
     """Full protocol run: deploy, then greedy generation for each prompt.
 
-    The server answers only through the chosen transport on its own threads.
+    With `rekey_between`, P1 re-keys once, halfway through the prompts: it
+    sends P2 a REKEY notice retiring the old epoch, then deploys anew. The
+    server answers only through the chosen transport on its own threads.
     Returns (list of token streams, Transcript).
     """
     if transport_kind not in ("inproc", "socket"):
@@ -641,9 +651,11 @@ def run_simulation(
         )
         for i, prompt in enumerate(prompts):
             if rekey_between and i == max(1, len(prompts) // 2) and i > 0:
+                to_p2, to_p3 = p1.rekey(seed + 1000 + i)
+                # P2 drops the retired θ′ before the next one reaches it
+                _send_for_ack(hub.p1_link, p1.rekey_notice(), transcript, timeout)
                 deploy(
-                    hub.p1_link, p3, *p1.rekey(seed + 1000 + i),
-                    transcript=transcript, timeout=timeout,
+                    hub.p1_link, p3, to_p2, to_p3, transcript=transcript, timeout=timeout
                 )
             streams.append(
                 p3.generate(prompt, max_tokens, hub.p3_link, transcript, timeout=timeout)

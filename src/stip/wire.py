@@ -66,7 +66,8 @@ class ErrorCode(IntEnum):
 
 @dataclass
 class Frame:
-    """One message. The payload is any bytes-like object (bytes or bytearray)."""
+    """One message. The payload is any bytes-like object: bytes, a bytearray, or
+    the memoryview `container.encode_model` returns."""
 
     msg_type: MsgType
     epoch: int

@@ -2,6 +2,9 @@
 
 import json
 import struct
+import threading
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import VARIANT_CONFIGS, make_config, overflowing_container
+from stip import container
 from stip.container import (
     FORMAT_VERSION,
     KEYS_MAGIC,
@@ -34,7 +38,7 @@ from stip.container import (
 )
 from stip.errors import CodecError
 from stip.model import FfnKind, NormKind, NormPlacement, gen_model
-from stip.numerics import F32_MIN
+from stip.numerics import F32_MIN, Gather
 from stip.transform import gen_permutation_set, para_trans
 
 F32 = np.float32
@@ -127,6 +131,15 @@ def test_model_encoding_is_the_format_and_decodes_bit_identical(name, served):
 def test_theta_prime_gathered_into_the_container_is_para_trans_encoded(
     norm_kind, placement, ffn_kind, n_experts, neg_inf, served, seed
 ):
+    _check_theta_prime_container(
+        norm_kind, placement, ffn_kind, n_experts, neg_inf, served, seed
+    )
+
+
+def _check_theta_prime_container(
+    norm_kind, placement, ffn_kind, n_experts, neg_inf, served, seed
+):
+    """θ′ gathered into the container is para_trans encoded; it decodes to θ′."""
     cfg = make_config(
         norm_kind=norm_kind,
         norm_placement=placement,
@@ -140,9 +153,114 @@ def test_theta_prime_gathered_into_the_container_is_para_trans_encoded(
         params = replace(params, embedding=None)
     pset = gen_permutation_set(cfg, seed + 1)
     blob = encode_model(params, pset)
-    assert blob == encode_model(para_trans(params, pset))
+    theta = para_trans(params, pset)
+    assert blob == encode_model(theta)
     # the sentinel is written after the gather, wherever -inf landed
-    assert (np.float32(F32_MIN).tobytes() in blob) == neg_inf
+    assert (np.float32(F32_MIN).tobytes() in bytes(blob)) == neg_inf
+    # and read back as -inf where para_trans put it
+    got = _tensor_map(decode_model(blob))
+    for name, tensor in _tensor_map(theta).items():
+        assert got[name].tobytes() == np.asarray(tensor, dtype=F32).tobytes(), name
+
+
+@contextmanager
+def two_cores(min_elements, cpus=2):
+    """Split tensors of at least `min_elements` as on a host of `cpus` CPUs.
+
+    Yields the list of threads the container code starts meanwhile.
+    """
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(container, "SPLIT_MIN_ELEMENTS", min_elements)
+        mp.setattr(container.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        mp.setattr(container.threading, "Thread", Thread)
+        yield started
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    norm_kind=st.sampled_from(NormKind),
+    placement=st.sampled_from(NormPlacement),
+    ffn_kind=st.sampled_from(FfnKind),
+    n_experts=st.sampled_from([0, 2, 3]),
+    neg_inf=st.booleans(),
+    served=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_theta_prime_split_between_two_threads_is_para_trans_encoded(
+    norm_kind, placement, ffn_kind, n_experts, neg_inf, served, seed
+):
+    # with no size threshold, every tensor is in the split
+    with two_cores(0) as started:
+        _check_theta_prime_container(
+            norm_kind, placement, ffn_kind, n_experts, neg_inf, served, seed
+        )
+    assert started and not any(t.is_alive() for t in started)
+
+
+def test_full_size_theta_prime_split_between_two_threads_is_para_trans_encoded():
+    # rekey-churn's model: most of its tensors reach the threshold
+    cfg = make_config(
+        n_layers=4, d_model=256, d_ff=1024, vocab_size=4096, ffn_kind=FfnKind.GELU
+    )
+    params = with_neg_inf(replace(gen_model(cfg, 12), embedding=None))
+    pset = gen_permutation_set(cfg, 13)
+    with two_cores(container.SPLIT_MIN_ELEMENTS) as started:
+        blob = encode_model(params, pset)
+        model = decode_model(blob)
+    assert len(started) == 2  # one helper to write, one to scan
+    with two_cores(float("inf")) as started:  # the same, on one thread
+        want = encode_model(para_trans(params, pset))
+    assert not started
+    assert blob == want
+    assert np.isneginf(model.w_c).sum() == 1
+
+
+@pytest.mark.parametrize("side", ["helper", "caller"])
+def test_a_fault_in_either_half_of_a_split_encode_leaves_no_thread(side, monkeypatch):
+    cfg = make_config(d_model=16, d_ff=32)
+    params = gen_model(cfg, 14)
+    pset = gen_permutation_set(cfg, 15)
+    into = Gather.into
+    on_helper = side == "helper"
+
+    def into_or_fail(self, out):
+        if (threading.current_thread() is not threading.main_thread()) == on_helper:
+            time.sleep(0.05)  # fail after the other half is done
+            raise RuntimeError(f"gather failed on the {side}")
+        into(self, out)
+
+    monkeypatch.setattr(Gather, "into", into_or_fail)
+    with two_cores(0) as started:
+        with pytest.raises(RuntimeError, match=side):
+            encode_model(params, pset)
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def test_a_desk_sized_model_is_written_and_read_on_one_thread():
+    cfg = make_config(n_layers=4, d_model=64, d_ff=256, vocab_size=100)
+    params = gen_model(cfg, 16)
+    with two_cores(container.SPLIT_MIN_ELEMENTS) as started:
+        decode_model(encode_model(params, gen_permutation_set(cfg, 17)))
+        decode_model(encode_model(params))
+    assert not started
+
+
+def test_one_cpu_starts_no_helper():
+    cfg = make_config(d_model=16, d_ff=32)
+    params = gen_model(cfg, 18)
+    pset = gen_permutation_set(cfg, 19)
+    with two_cores(0, cpus=1) as started:
+        blob = encode_model(params, pset)
+        decode_model(blob)
+    assert not started
+    assert blob == encode_model(para_trans(params, pset))
 
 
 def test_model_file_round_trip(tmp_path):
@@ -176,7 +294,7 @@ def test_model_header_layout():
     blob = encode_model(gen_model(cfg, 4))
     head = struct.pack("<4sH", MODEL_MAGIC, FORMAT_VERSION)
     config = struct.pack("<IIIIfBBBBI", 1, 2, 3, 4, 2.0, 0, 0, 0, 1, 0)
-    assert blob.startswith(head + config)
+    assert bytes(blob).startswith(head + config)
 
 
 def test_model_decode_rejects_bad_magic():

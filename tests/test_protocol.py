@@ -704,6 +704,8 @@ def test_state_partition():
     p1, p2, p3 = deployed_parties(params, seed=50)
     p2_state = p2.state_bytes()
     p3_state = p3.state_bytes()
+    # `in` on anything but bytes would test ints, and pass whatever it held
+    assert type(p2_state) is type(p3_state) is type(p1.state_bytes()) is bytes
 
     def key_bytes(perm):
         return perm.indices.astype("<u4").tobytes()
@@ -726,6 +728,7 @@ def test_server_never_holds_a_row_of_the_embedding_table():
     _, p2, _ = deployed_parties(params, seed=52)
     assert p2.model.embedding is None
     p2_state = p2.state_bytes()
+    assert type(p2_state) is bytes
     for row in params.embedding.table:
         assert row.astype("<f4").tobytes() not in p2_state
 
@@ -773,8 +776,11 @@ def test_simulation_rekey_between_prompts_keeps_streams(kind):
         params, prompts, 3, transport_kind=kind, seed=56, rekey_between=True
     )
     assert streams == local
-    deploys = [e for e in transcript.entries if e["direction"].startswith("P1")]
-    assert len(deploys) == 4  # initial pair + one rekey pair
+    sent = [e["msg_type"] for e in transcript.entries if e["direction"].startswith("P1")]
+    # initial pair, then the REKEY notice retiring epoch 1 and one rekey pair
+    assert sent == ["DEPLOY_MODEL", "DEPLOY_KEYS", "REKEY", "DEPLOY_MODEL", "DEPLOY_KEYS"]
+    notice = next(e for e in transcript.entries if e["msg_type"] == "REKEY")
+    assert (notice["direction"], notice["epoch"]) == ("P1->P2", 2)
 
 
 def test_simulation_rejects_unknown_transport():
