@@ -19,6 +19,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import wire
 from .container import (
+    encode_model,
     load_keys,
     load_model,
     load_model_json,
@@ -206,7 +207,8 @@ def _epoch(raw):
 def cmd_transform(rc, args):
     params = _load_any_model(args.model)
     pset = gen_permutation_set(params.config, rc.seed, identity=args.identity)
-    save_model(para_trans(params, pset), args.out_model)
+    with open(args.out_model, "wb") as f:
+        f.write(encode_model(params, pset))  # θ′ gathered as a deploy gathers it
     save_keys(pset, args.epoch, args.out_keys)
     _emit(
         rc,

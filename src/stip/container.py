@@ -231,7 +231,7 @@ def _on_two_cores(jobs, run):
         key=lambda i: -jobs[i][0],
     )
     theirs = big[1::2]
-    if not theirs or len(os.sched_getaffinity(0)) < 2:
+    if not theirs or _usable_cpus() < 2:
         for _, job in jobs:
             run(job)
         return
@@ -255,6 +255,12 @@ def _on_two_cores(jobs, run):
         t.join()
     if failed:
         raise failed[0]
+
+
+def _usable_cpus():
+    """CPUs this process may run on; all of the host's where the OS cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+    return len(affinity(0)) if affinity else (os.cpu_count() or 1)
 
 
 def _write_tensor(job):

@@ -23,16 +23,16 @@ gathers fill on two threads, and P2 serves θ′ from read-only views into the
 payload it received: it keeps no second copy. P2's sentinel scan of the
 payload (`container.decode_model`) splits over two threads the same way.
 
-P2 keeps θ′, its epoch and a count of deployments; a REKEY notice that
-retires the current epoch drops θ′, and with it the payload. At the first
-inference request on a θ′, P2 widens its dense matrices (W′_q, W′_k, W′_v
-and W′_o of every layer, a dense layer's W′_1/W′_2/W′_3, and W′_c) to
-float64 copies in place, and copies its norm vectors as float32. The engine
-computes its products in float64, so a one-row step no longer casts each of
-these on every call, and every output bit stays the same. A dense θ′ then
-holds no view into the payload, which is freed; MoE experts and W′_g stay
-float32 views into it. The container stays float32, and `state_bytes()`
-returns it as bytes.
+P2 keeps θ′ and its epoch, which names one key set: a deploy must advance
+it, and a REKEY notice that retires it drops θ′, and with it the payload.
+At the first inference request on a θ′, P2 widens its dense matrices (W′_q,
+W′_k, W′_v and W′_o of every layer, a dense layer's W′_1/W′_2/W′_3, and
+W′_c) to float64 copies in place, and copies its norm vectors as float32.
+The engine computes its products in float64, so a one-row step no longer
+casts each of these on every call, and every output bit stays the same. A
+dense θ′ then holds no view into the payload, which is freed; MoE experts
+and W′_g stay float32 views into it. The container stays float32, and
+`state_bytes()` returns it as bytes.
 
 P2 serves each link in one party's role: P1's link may deploy and re-key,
 P3's link may only ask for inference.
@@ -152,11 +152,11 @@ class DeveloperParty:
         self.epoch += 1
         return self._deploy_messages()
 
-    def rekey(self, seed, identity=False):
+    def rekey(self, seed):
         """Fresh Π at epoch+1; old-epoch traffic must be rejected afterwards."""
         if self.pset is None:
             raise NotInitializedError("rekey before initialize")
-        return self.initialize(seed, identity=identity)
+        return self.initialize(seed)
 
     def _deploy_messages(self):
         # P2 gets no embedding table: with E it could match each permuted row
@@ -174,6 +174,8 @@ class DeveloperParty:
 
     def rekey_notice(self):
         """Advisory epoch-bump frame announcing that the previous epoch retired."""
+        if self.pset is None:
+            raise NotInitializedError("rekey notice before any key set")
         return wire.make_rekey(self.epoch, self.epoch - 1, self.session_id)
 
     def state_bytes(self):
@@ -184,29 +186,29 @@ class DeveloperParty:
 
 
 class LinkCache:
-    """P2's decoding state for one link: one sequence under one deployment.
+    """P2's decoding state for one link: one sequence under one epoch.
 
     It holds only values P2 computed from permuted rows it received on this
-    link (K′/V′, or the x′ rows under mask none); never key material.
+    link (K′/V′, or the x′ rows under mask none) and their epoch; no key.
     """
 
     def __init__(self):
-        self.deployment = None
+        self.epoch = None
         self.kv = None
 
 
 class ServerParty:
     """P2: runs the transformed model verbatim; knows no permutation and no embedding.
 
-    It keeps θ′ (`model`, None when none is live), the epoch θ′ was deployed
-    at and a count of deployments. A deploy installs θ′ as decoded: float32,
-    read-only views into the DEPLOY_MODEL payload, which θ′ keeps alive. The
-    first inference request served on it replaces its dense matrices with
-    float64 copies and its norm vectors with float32 ones (`_widen_dense`),
-    so the deploy itself pays nothing for that, and a dense θ′ then lets the
-    payload go. A REKEY notice that retires the current epoch drops θ′, and
-    with it any payload it still views; the epoch stays, so requests at it
-    are refused as stale until a new θ′ arrives.
+    It keeps θ′ (`model`, None when none is live) and its epoch. A deploy
+    installs θ′ as decoded: float32, read-only views into the DEPLOY_MODEL
+    payload, which θ′ keeps alive. The first inference request served on it
+    replaces its dense matrices with float64 copies and its norm vectors with
+    float32 ones (`_widen_dense`), so the deploy itself pays nothing for
+    that, and a dense θ′ then lets the payload go. A REKEY notice that
+    retires the current epoch drops θ′, and with it any payload it still
+    views. The epoch stays, and a deploy must advance it, live or retired:
+    an epoch names one key set, so a retired one never serves again.
     """
 
     role = "Server"
@@ -214,14 +216,13 @@ class ServerParty:
     def __init__(self):
         self.model = None
         self.epoch = None
-        self.deployments = 0  # ties a link's cache to the model it was built on
         self._lock = threading.RLock()
 
     def handle_deploy(self, frame):
         if frame.msg_type is not wire.MsgType.DEPLOY_MODEL:
             raise ProtocolError(f"expected DEPLOY_MODEL, got {frame.msg_type.name}")
         with self._lock:
-            if self.model is not None and frame.epoch <= self.epoch:
+            if self.epoch is not None and frame.epoch <= self.epoch:
                 raise StaleEpochError(
                     f"deploy epoch {frame.epoch} does not advance {self.epoch}"
                 )
@@ -230,7 +231,6 @@ class ServerParty:
                 raise ProtocolError("a deployed model must not carry the embedding table")
             self.model = model
             self.epoch = frame.epoch
-            self.deployments += 1
             return wire.make_ack(self.epoch, frame.session_id)
 
     def handle_rekey(self, frame):
@@ -254,12 +254,12 @@ class ServerParty:
         call) only a prefill can be served, and nothing is kept.
 
         Before any deploy this raises NotInitializedError; once θ′ is
-        retired, or at another epoch, StaleEpochError. The first request
-        accepted on a θ′ whose W′_c is still float32 widens its dense matrices
-        to float64 (`_widen_dense`), under the lock and before any forward
-        pass runs on it. Every check on the request (its trailer, width and
-        start against the link's cache) runs first, so a refused request
-        widens nothing.
+        retired, at another epoch, or for rows cached at an earlier epoch,
+        StaleEpochError. The first request accepted on a θ′ whose W′_c is
+        still float32 widens its dense matrices to float64 (`_widen_dense`),
+        under the lock and before any forward pass runs on it. Every check on
+        the request (its trailer, width and start against the link's cache)
+        runs first, so a refused request widens nothing.
         """
         if frame.msg_type is not wire.MsgType.INFER_REQUEST:
             raise ProtocolError(f"expected INFER_REQUEST, got {frame.msg_type.name}")
@@ -268,11 +268,11 @@ class ServerParty:
             if model is None and self.epoch is None:
                 raise NotInitializedError("no model deployed")
             if model is None or frame.epoch != self.epoch:
+                now = "retired" if model is None else "current"
                 raise StaleEpochError(
-                    f"request epoch {frame.epoch}, current epoch {self.epoch}"
+                    f"request epoch {frame.epoch}, {now} epoch {self.epoch}"
                 )
             epoch = self.epoch
-            deployment = self.deployments
         cfg = model.config
         if cfg.mask_kind is MaskKind.CUSTOM:
             raise ProtocolError("custom masks cannot travel over this protocol")
@@ -285,9 +285,9 @@ class ServerParty:
         if start:
             if cache is None or cache.kv is None:
                 raise ProtocolError(f"decode step at row {start} without a prefill")
-            if cache.deployment != deployment:
+            if cache.epoch != epoch:
                 cache.kv = None
-                raise StaleEpochError("cached rows belong to a retired deployment")
+                raise StaleEpochError(f"cached rows are from retired epoch {cache.epoch}")
             if start != cache.kv.rows:
                 raise ProtocolError(
                     f"decode step at row {start}, link holds {cache.kv.rows} rows"
@@ -296,7 +296,7 @@ class ServerParty:
             if model.w_c.dtype != np.float64:
                 _widen_dense(model)
         if start == 0 and cache is not None:
-            cache.deployment = deployment
+            cache.epoch = epoch
             cache.kv = KVCache(cfg.n_layers)
         kv = None if cache is None else cache.kv
         mask = make_mask(cfg.mask_kind, n=x.shape[0])
@@ -313,13 +313,11 @@ class ServerParty:
         return wire.make_infer_response(o, epoch, frame.session_id)
 
     def handle(self, frame, cache=None):
-        if frame.msg_type is wire.MsgType.DEPLOY_MODEL:
-            return self.handle_deploy(frame)
-        if frame.msg_type is wire.MsgType.REKEY:
-            return self.handle_rekey(frame)
         if frame.msg_type is wire.MsgType.INFER_REQUEST:
             return self.serve(frame, cache)
-        raise ProtocolError(f"server cannot handle {frame.msg_type.name}")
+        if frame.msg_type is wire.MsgType.REKEY:
+            return self.handle_rekey(frame)
+        return self.handle_deploy(frame)  # which refuses any other frame
 
     def serve_loop(self, transport, timeout=RECV_TIMEOUT, role=None):
         """Answer frames until the peer closes; every fault becomes an Error frame.

@@ -10,10 +10,17 @@ import pytest
 
 from conftest import make_config, overflowing_container
 from stip import cli
-from stip.container import load_keys, load_model, load_model_json, save_keys, save_model
+from stip.container import (
+    encode_model,
+    load_keys,
+    load_model,
+    load_model_json,
+    save_keys,
+    save_model,
+)
 from stip.model import gen_model
 from stip.protocol import DataOwnerParty, DeveloperParty, ServerParty
-from stip.transform import PermutationSet, gen_permutation_set
+from stip.transform import PermutationSet, gen_permutation_set, para_trans
 
 
 def run_cli(capsys, argv):
@@ -120,6 +127,8 @@ def test_transform_emits_model_and_full_key_set(tmp_path, capsys):
     assert epoch == report["results"]["epoch"]
     assert pset == gen_permutation_set(load_model(str(m)).config, 2)
     assert (tmp_path / "t.bin").read_bytes() != m.read_bytes()
+    want = encode_model(para_trans(load_model(str(m)), pset))
+    assert (tmp_path / "t.bin").read_bytes() == bytes(want)
 
 
 def test_transform_epoch_comes_from_the_flag_alone(tmp_path, capsys):

@@ -167,7 +167,8 @@ def _check_theta_prime_container(
 def two_cores(min_elements, cpus=2):
     """Split tensors of at least `min_elements` as on a host of `cpus` CPUs.
 
-    Yields the list of threads the container code starts meanwhile.
+    With `cpus` None the host's own CPU count stands. Yields the list of
+    threads the container code starts meanwhile.
     """
     started = []
 
@@ -178,7 +179,8 @@ def two_cores(min_elements, cpus=2):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(container, "SPLIT_MIN_ELEMENTS", min_elements)
-        mp.setattr(container.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        if cpus is not None:
+            mp.setattr(container.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         mp.setattr(container.threading, "Thread", Thread)
         yield started
 
@@ -261,6 +263,24 @@ def test_one_cpu_starts_no_helper():
         decode_model(blob)
     assert not started
     assert blob == encode_model(para_trans(params, pset))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_host_without_affinity_splits_by_its_cpu_count(cpus, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    cfg = make_config(d_model=16, d_ff=32)
+    params = gen_model(cfg, 20)
+    pset = gen_permutation_set(cfg, 21)
+    with two_cores(float("inf")) as started:
+        want = encode_model(params, pset)
+    assert not started
+    monkeypatch.delattr(container.os, "sched_getaffinity")
+    monkeypatch.setattr(container.os, "cpu_count", lambda: cpus)
+    with two_cores(0, cpus=None) as started:
+        blob = encode_model(params, pset)
+    assert len(started) == cpus - 1
+    assert not any(t.is_alive() for t in started)
+    assert blob == want
 
 
 def test_model_file_round_trip(tmp_path):

@@ -372,14 +372,20 @@ def test_step_after_rekey_and_redeploy_is_never_served_from_old_cache(same_epoch
     p1, p2, p3 = deployed(params, seed=12)
     with Served(p2) as p1_link, Served(p2) as p3_link:
         p3_link.ask(p3.infer_request([0, 1, 2]))
-        if same_epoch:
-            # a new key set deployed under the epoch number the cache was built at
-            to_p2, to_p3 = DeveloperParty(params, session_seed=13).initialize(14)
-            assert to_p2.epoch == p2.epoch
-        else:
-            to_p2, to_p3 = p1.rekey(14)
+        to_p2, to_p3 = p1.rekey(14)
         notice = wire.make_rekey(to_p2.epoch, p2.epoch, p1.session_id)
         assert p1_link.ask(notice).msg_type is wire.MsgType.ACK
+        if same_epoch:
+            # a new key set under the epoch number the cache was built at is
+            # refused, and nothing is served at that epoch
+            rogue = DeveloperParty(params, session_seed=13)
+            rogue_model, rogue_keys = rogue.initialize(15)
+            assert rogue_model.epoch == p2.epoch
+            assert error_code(p1_link.ask(rogue_model)) == wire.ErrorCode.STALE_EPOCH
+            assert (p2.model, p2.epoch) == (None, 1)
+            p3.handle_deploy_keys(rogue_keys)
+            rogue_step = p3.infer_request([3], start=3)
+            assert error_code(p3_link.ask(rogue_step)) == wire.ErrorCode.STALE_EPOCH
         assert p1_link.ask(to_p2).msg_type is wire.MsgType.ACK
         p3.handle_deploy_keys(to_p3)
         step = p3.infer_request([3], start=3)

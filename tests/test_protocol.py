@@ -101,6 +101,8 @@ def test_rekey_requires_initialize():
     p1 = DeveloperParty(desk_params(9), session_seed=0)
     with pytest.raises(NotInitializedError):
         p1.rekey(1)
+    with pytest.raises(NotInitializedError):
+        p1.rekey_notice()
 
 
 def test_server_rejects_non_advancing_deploy():
@@ -315,18 +317,28 @@ def test_rekey_notice_retires_epoch_until_redeploy():
     assert p2.state_bytes() == b""
     gc.collect()
     assert retired() is None
-    with pytest.raises(StaleEpochError):
+    with pytest.raises(StaleEpochError, match="retired epoch 1"):
         p2.serve(req)
-    # with no live θ′, a deploy at the retired epoch is accepted, and its
-    # first request widens the new θ′
-    p2.handle_deploy(first)
-    assert (p2.epoch, p2.deployments) == (1, 2)
-    assert p2.model.w_c.dtype == F32
-    o = p3.recover(p2.serve(req))
-    assert p2.model.w_c.dtype == np.float64
+    # the retired epoch names a retired key set: replaying its deploy is refused
+    with pytest.raises(StaleEpochError):
+        p2.handle_deploy(first)
+    assert (p2.model, p2.epoch) == (None, 1)
+    # the next epoch's θ′ is installed float32 and widened by its first request
     p2.handle_deploy(to_p2)
     p3.handle_deploy_keys(to_p3)
-    assert np.max(np.abs(p3.recover(p2.serve(p3.infer_request([0]))) - o)) <= 1e-4
+    assert (p2.epoch, p2.model.w_c.dtype) == (2, F32)
+    o = p3.recover(p2.serve(p3.infer_request([0])))
+    assert p2.model.w_c.dtype == np.float64
+    x = embed([0], params.embedding)
+    local = model_forward(x, params, make_mask(params.config.mask_kind, 1))
+    assert np.max(np.abs(o - local)) <= 1e-4
+    # and retiring epoch 2 releases its widened θ′ in turn
+    retired = weakref.ref(p2.model)
+    p1.rekey(46)
+    p2.handle_rekey(p1.rekey_notice())
+    assert (p2.model, p2.epoch, p2.state_bytes()) == (None, 2, b"")
+    gc.collect()
+    assert retired() is None
 
 
 def test_old_shared_keys_cannot_recover_new_responses():
@@ -834,9 +846,9 @@ def _ask(link, frame):
     return link.recv(timeout=5.0)
 
 
-def _refused(reply):
+def _refused(reply, code=wire.ErrorCode.UNSUPPORTED):
     assert reply.msg_type is wire.MsgType.ERROR
-    return wire.decode_error_payload(reply.payload)[0] == wire.ErrorCode.UNSUPPORTED
+    return wire.decode_error_payload(reply.payload)[0] == code
 
 
 @pytest.mark.parametrize("kind", ["inproc", "socket"])
@@ -859,7 +871,7 @@ def test_server_host_binds_each_link_to_its_partys_frames(kind):
         retire_live = wire.make_rekey(p2.epoch + 1, p2.epoch, p3.session_id)
         for frame in (rogue_model, retire_live, rogue_keys):
             assert _refused(_ask(hub.p3_link, frame))
-        assert (p2.model, p2.epoch, p2.deployments) == (model, 1, 1)
+        assert (p2.model, p2.epoch) == (model, 1)
         # the link's cache survived: a step continuing the prefill is served
         step = p3.infer_request([4], start=len(prompt), mode=top1)
         assert _ask(hub.p3_link, step).msg_type is wire.MsgType.INFER_RESPONSE
@@ -869,6 +881,43 @@ def test_server_host_binds_each_link_to_its_partys_frames(kind):
         stip.protocol.deploy(hub.p1_link, p3, *p1.rekey(72))
         assert p2.epoch == 2
         assert p3.generate(prompt, 5, hub.p3_link, timeout=5.0) == local
+    finally:
+        hub.shutdown()
+    assert not any(t.is_alive() for t in hub._threads)
+
+
+@pytest.mark.parametrize("kind", ["inproc", "socket"])
+def test_an_epoch_names_one_key_set_live_or_retired(kind):
+    # a second P1 deploys its own key set under epoch 1, live and then retired
+    params = desk_params(73)
+    p1 = DeveloperParty(params, session_seed=74)
+    p2 = ServerParty()
+    p3 = DataOwnerParty(params.embedding, session_seed=75)
+    rogue_model, _ = DeveloperParty(params, session_seed=76).initialize(77)
+    stale = wire.ErrorCode.STALE_EPOCH
+    prompt = [1, 2, 3]
+    local = greedy_generate(params, prompt, 8)
+    hub = _ServerHost(p2, kind, 0.0, 5.0)
+    try:
+        stip.protocol.deploy(hub.p1_link, p3, *p1.initialize(78))
+        model = p2.model
+        assert _refused(_ask(hub.p1_link, rogue_model), stale)
+        assert (p2.model, p2.epoch) == (model, 1)
+        to_p2, to_p3 = p1.rekey(79)
+        assert _ask(hub.p1_link, p1.rekey_notice()).msg_type is wire.MsgType.ACK
+        assert _refused(_ask(hub.p1_link, rogue_model), stale)
+        assert (p2.model, p2.epoch) == (None, 1)
+        # P3 still holds epoch 1's keys: it gets an error, never a token
+        with pytest.raises(AbortedGenerationError, match="retired epoch 1") as err:
+            p3.generate(prompt, 8, hub.p3_link, timeout=5.0)
+        assert err.value.tokens == []
+        stip.protocol.deploy(hub.p1_link, p3, to_p2, to_p3)
+        assert p3.generate(prompt, 8, hub.p3_link, timeout=5.0) == local
+        # below the live epoch, too
+        model = p2.model
+        assert _refused(_ask(hub.p1_link, rogue_model), stale)
+        assert (p2.model, p2.epoch) == (model, 2)
+        assert p3.generate(prompt, 8, hub.p3_link, timeout=5.0) == local
     finally:
         hub.shutdown()
     assert not any(t.is_alive() for t in hub._threads)
