@@ -16,16 +16,14 @@ layers); any other role is rejected.
 restored on read (`numerics.sanitize_neg_inf` / `restore_neg_inf`).
 
 Writing a container and reading one back both share their large tensors
-between the calling thread and one helper thread (`_on_two_cores`): each
-tensor's gather and sentinel write, or its sentinel scan, runs on one of
-the two.
+between the calling thread and the helper thread that `numerics.matmul`
+also uses (`numerics.on_two_cores`): each tensor's gather and sentinel
+write, or its sentinel scan, runs on one of the two, dealt out by load.
 """
 
 import json
 import math
-import os
 import struct
-import threading
 
 import numpy as np
 
@@ -45,6 +43,7 @@ from .numerics import (
     DTYPE,
     Gather,
     Permutation,
+    on_two_cores,
     restore_neg_inf,
     sanitize_neg_inf,
     sanitize_neg_inf_in_place,
@@ -72,11 +71,6 @@ ROLE_PI_C = 1
 ROLE_PI1 = 2
 ROLE_PI2 = 3
 ROLE_PI3 = 4
-
-# Tensors of at least this many elements (256 KiB of float32) are shared out
-# between two threads when a container is written or read. Below it, a
-# gather or a sentinel scan takes less time than handing it to a thread.
-SPLIT_MIN_ELEMENTS = 1 << 16
 
 
 def _decode_enum(codes, raw, what):
@@ -217,52 +211,6 @@ def _tensor_head(name, shape):
     return struct.pack(f"<H{len(nm)}sB{len(shape)}I", len(nm), nm, len(shape), *shape)
 
 
-def _on_two_cores(jobs, run):
-    """run(job) for each (elements, job) in `jobs`, here and on at most one helper thread.
-
-    Jobs of at least SPLIT_MIN_ELEMENTS elements are handed out, largest
-    first, alternately to this thread and to one helper thread; smaller ones
-    stay on this thread. No helper starts when it would get no job, or when
-    this process may run on one CPU only. The helper is joined before this
-    returns, and what it raised is raised here.
-    """
-    big = sorted(
-        (i for i, (n, _) in enumerate(jobs) if n >= SPLIT_MIN_ELEMENTS),
-        key=lambda i: -jobs[i][0],
-    )
-    theirs = big[1::2]
-    if not theirs or _usable_cpus() < 2:
-        for _, job in jobs:
-            run(job)
-        return
-    failed = []
-
-    def helper():
-        try:
-            for i in theirs:
-                run(jobs[i][1])
-        except BaseException as exc:
-            failed.append(exc)
-
-    t = threading.Thread(target=helper, name="stip-container")
-    t.start()
-    try:
-        skip = set(theirs)
-        for i, (_, job) in enumerate(jobs):
-            if i not in skip:
-                run(job)
-    finally:
-        t.join()
-    if failed:
-        raise failed[0]
-
-
-def _usable_cpus():
-    """CPUs this process may run on; all of the host's where the OS cannot say."""
-    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
-    return len(affinity(0)) if affinity else (os.cpu_count() or 1)
-
-
 def _write_tensor(job):
     t, dst = job
     if isinstance(t, Gather):
@@ -280,7 +228,7 @@ def encode_model(params, pset=None):
     every byte is written once. Given a permutation set, the container holds
     θ′ = para_trans(params, pset), and each θ′ tensor is gathered from params
     into its slot (`transform.gather_plan`): θ′ is never written anywhere
-    else. Large tensors are written on two threads (`_on_two_cores`).
+    else. Large tensors are written on two cores (`numerics.on_two_cores`).
     """
     if pset is not None:
         params = gather_plan(params, pset)
@@ -301,7 +249,7 @@ def encode_model(params, pset=None):
         dst = np.frombuffer(buf, dtype="<f4", count=count, offset=off).reshape(shape)
         jobs.append((count, (t, dst)))
         off += dst.nbytes
-    _on_two_cores(jobs, _write_tensor)
+    on_two_cores(jobs, _write_tensor)
     return buf
 
 
@@ -327,8 +275,8 @@ def decode_model(raw):
     """Container bytes -> model of read-only views into `raw`.
 
     Every tensor is located first; then the sentinel scans run, those of
-    large tensors on two threads (`_on_two_cores`). Bad magic, version or
-    truncation raise CodecError.
+    large tensors on two cores (`numerics.on_two_cores`). Bad magic,
+    version or truncation raise CodecError.
     """
     r = _Reader(raw)
     magic, version = _HEAD.unpack(r.take(_HEAD.size, "header"))
@@ -360,7 +308,7 @@ def decode_model(raw):
         arr.flags.writeable = False
         tensors[name] = arr
 
-    _on_two_cores([(t.size, name) for name, t in tensors.items()], restore)
+    on_two_cores([(t.size, name) for name, t in tensors.items()], restore)
     return _assemble_model(cfg, tensors)
 
 

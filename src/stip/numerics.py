@@ -9,10 +9,19 @@ float64 ndarray as it is and computes in float64, so a float64 operand is
 never rounded through float32. Two kinds of operand arrive as float64: the
 K′/V′ rows of the decoding cache, and the dense weight matrices P2 widens
 once per deployment (`protocol.ServerParty`). Every result is float32.
+
+Two cores: `matmul` splits a product whose right operand is a large float32
+matrix, such as an MoE expert, into two column halves, and `on_two_cores`
+deals a deploy's tensor jobs out by load. Both hand their far half to one
+persistent daemon thread (`_Helper`), started at the first split; a
+process allowed one CPU (`usable_cpus`) hands nothing off.
 """
 
-import numpy as np
+import os
+import threading
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DegenerateRowError, InvalidDimensionError
 
@@ -149,6 +158,8 @@ def apply_vec_perm(v, p):
 # float32 `out` off a 4-byte boundary is buffered whole and copied back. The
 # bytes, NaN payloads included, are the float32 ones.
 _ITEM = np.dtype("V4")
+# Elements (1 MiB of float32) of the scratch block a two-sided gather uses.
+_GATHER_BLOCK = 1 << 18
 
 
 def _take_into(src, perm, axis, out):
@@ -184,17 +195,29 @@ class Gather:
     def into(self, out):
         """Write the tensor into `out`, a float32 array of its shape at any alignment.
 
-        Both sides permuted: the rows go into a scratch array, the columns
-        into `out`. Each np.take uses mode="clip", because with the default
-        "raise" numpy buffers the whole `out`. Nothing is clipped: a
-        Permutation's indices are a checked bijection, and the constructor
-        checked each permuted axis against its permutation.
+        Both sides permuted: a block of rows at a time goes into a scratch
+        array of at most _GATHER_BLOCK elements, and its columns from there
+        into `out`. The scratch stays small whatever the tensor's size, so a
+        gather run on the helper thread (`on_two_cores`) leaves little in
+        that thread's malloc arena. Each np.take uses mode="clip", because
+        with the default "raise" numpy buffers the whole `out`. Nothing is
+        clipped: a Permutation's indices are a checked bijection, and the
+        constructor checked each permuted axis against its permutation.
         """
         if self.cols is None:
             _take_into(self.src, self.rows, 0, out)
             return
-        src = self.src if self.rows is None else self.src[self.rows.indices]
-        _take_into(src, self.cols, -1, out)
+        if self.rows is None:
+            _take_into(self.src, self.cols, -1, out)
+            return
+        n = self.src.shape[1]
+        step = max(1, _GATHER_BLOCK // n)
+        scratch = np.empty((min(step, self.rows.dim), n), DTYPE)
+        for i in range(0, self.rows.dim, step):
+            rows = self.rows.indices[i : i + step]
+            part = scratch[: rows.size]
+            np.take(self.src.view(_ITEM), rows, axis=0, out=part.view(_ITEM), mode="clip")
+            _take_into(part, self.cols, -1, out[i : i + step])
 
     def array(self):
         out = np.empty(self.shape, dtype=DTYPE)
@@ -202,11 +225,211 @@ class Gather:
         return out
 
 
+# Work of at least this many elements (256 KiB of float32) is shared between
+# two cores: a float32 right operand of `matmul`, or a tensor a deploy writes
+# or scans. Below it, the work takes less time than handing it to a thread.
+SPLIT_MIN_ELEMENTS = 1 << 16
+
+
+def usable_cpus():
+    """CPUs this process may run on; all of the host's where the OS cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+    return len(affinity(0)) if affinity else (os.cpu_count() or 1)
+
+
+class _Half:
+    """One half of a split: `fn`, dropped as soon as it has run, and what it raised."""
+
+    __slots__ = ("fn", "error", "done")
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.error = None
+        self.done = threading.Event()
+
+    def run(self):
+        try:
+            self.fn()
+        except BaseException as exc:  # handed to the caller, which raises it
+            self.error = exc
+        finally:
+            self.fn = None
+
+
+class _Helper:
+    """One daemon thread that runs the far half of each split, one at a time.
+
+    The thread starts with the first half handed to it. A half waits in
+    `_pending` until the thread takes it, and until then its caller may take
+    it back; a caller that finds the helper busy keeps its half. The thread
+    keeps no reference to a half once it has run.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition(threading.Lock())
+        self._pending = None
+        self._busy = False
+        self._thread = None
+
+    def offer(self, half):
+        """Hand `half` to the helper thread; False, handing nothing, when it is busy."""
+        with self._cond:
+            if self._busy:
+                return False
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._loop, name="stip-helper", daemon=True
+                )
+                self._thread.start()
+            self._pending = half
+            self._busy = True
+            self._cond.notify()
+            return True
+
+    def take_back(self, half):
+        """True, withdrawing `half`, when the helper thread has not started it."""
+        with self._cond:
+            if self._pending is not half:
+                return False
+            self._pending = None
+            self._busy = False
+            return True
+
+    def _loop(self):
+        while True:
+            with self._cond:
+                while self._pending is None:
+                    self._cond.wait()
+                half, self._pending = self._pending, None
+            half.run()
+            with self._cond:
+                self._busy = False
+            half.done.set()
+            half = None
+
+
+_helper = _Helper()
+
+
+def _reset_helper():
+    global _helper
+    _helper = _Helper()
+
+
+# A forked child has none of its parent's threads: it starts its own helper.
+if hasattr(os, "register_at_fork"):  # not on Windows
+    os.register_at_fork(after_in_child=_reset_helper)
+
+
+def _two_halves(here, there):
+    """here() on this thread while the helper runs there(); both done on return.
+
+    The caller allocates the arrays both halves use (a deploy gather's own
+    scratch is one small block, `Gather.into`), so the helper thread's
+    malloc arena keeps little. When the helper is busy, or has not started
+    there() by the time here() is done, this thread runs there() itself: it
+    never waits on a half that has not started. What either half raised is
+    raised here, once neither is running.
+    """
+    half = _Half(there)
+    handed = _helper.offer(half)
+    try:
+        here()
+    except BaseException:
+        if handed and not _helper.take_back(half):
+            half.done.wait()
+        half.fn = None
+        raise
+    if not handed or _helper.take_back(half):
+        half.run()
+    else:
+        half.done.wait()
+    if half.error is not None:
+        raise half.error
+
+
+def on_two_cores(jobs, run):
+    """run(job) for each (elements, job) in `jobs`, on this thread and the helper.
+
+    Jobs of at least SPLIT_MIN_ELEMENTS elements are dealt out by `_deal`;
+    smaller ones stay on this thread. Where the helper would get no job, or
+    this process may run on one CPU only, every job runs here.
+    """
+    mine, theirs = _deal(jobs)
+    if not theirs or usable_cpus() < 2:
+        for _, job in jobs:
+            run(job)
+        return
+
+    def each(side):
+        for job in side:
+            run(job)
+
+    _two_halves(lambda: each(mine), lambda: each(theirs))
+
+
+def _deal(jobs):
+    """(this thread's jobs, the helper's jobs) from (elements, job) pairs, by load.
+
+    This thread starts with every job under SPLIT_MIN_ELEMENTS elements.
+    The rest go largest first, each to the side with fewer elements so far,
+    so the two sides differ by at most one job's elements.
+    """
+    mine = [job for n, job in jobs if n < SPLIT_MIN_ELEMENTS]
+    loads = [sum(n for n, _ in jobs if n < SPLIT_MIN_ELEMENTS), 0]
+    sides = (mine, [])
+    big = [(n, job) for n, job in jobs if n >= SPLIT_MIN_ELEMENTS]
+    for n, job in sorted(big, key=lambda j: -j[0]):
+        side = 0 if loads[0] <= loads[1] else 1
+        sides[side].append(job)
+        loads[side] += n
+    return sides
+
+
 def _matmul_operand(x):
     """A 2-D float32 or float64 ndarray as it is; anything else through as_matrix."""
     if type(x) is np.ndarray and x.ndim == 2 and x.dtype.char in "fd":
         return x
     return as_matrix(x)
+
+
+def _column_cut(b):
+    """Where to split the columns of right operand `b` between two cores; 0 for no split.
+
+    Only a float32 `b` of at least SPLIT_MIN_ELEMENTS elements is split, at
+    the multiple of 64 columns nearest its middle. A float64 `b` (a widened
+    weight matrix, the K′/V′ cache) has no cast to share.
+    """
+    if b.dtype != DTYPE or b.size < SPLIT_MIN_ELEMENTS or usable_cpus() < 2:
+        return 0
+    cut = (b.shape[1] + 64) // 128 * 64
+    return cut if 0 < cut < b.shape[1] else 0
+
+
+def _split_matmul(a, b, cut):
+    """float64 `a` times float32 `b`, columns [0, cut) here and [cut, n) on the helper.
+
+    Each output column is the same k-ordered dot product as in the unsplit
+    product, so the bytes are the same. Each half casts its columns of `b`
+    into a float64 buffer, multiplies into a float64 buffer of its own and
+    rounds that into its columns of `out`; this thread allocates all three.
+    """
+    m, (k, n) = a.shape[0], b.shape
+    out = np.empty((m, n), DTYPE)
+
+    def half(cols):
+        width = cols.stop - cols.start
+        b64, prod = np.empty((k, width)), np.empty((m, width))
+
+        def product():
+            np.copyto(b64, b[:, cols])
+            np.matmul(a, b64, out=prod)
+            out[:, cols] = prod
+
+        return product
+
+    _two_halves(half(slice(0, cut)), half(slice(cut, n)))
+    return out
 
 
 def matmul(a, b):
@@ -218,14 +441,20 @@ def matmul(a, b):
     with one cast each, float64 ones not at all: the cached K′/V′ rows and
     P2's widened weight matrices skip the cast on every call. The same values
     given as float32 or as float64 give the same bytes.
+
+    A large float32 `b`, such as an MoE expert's weights, is split by
+    columns over two cores (`_column_cut`, `_split_matmul`), with the same
+    bytes as the unsplit product.
     """
     a = _matmul_operand(a)
     b = _matmul_operand(b)
     if a.shape[1] != b.shape[0]:
         raise InvalidDimensionError(f"matmul shapes {a.shape} x {b.shape}")
-    return np.matmul(
-        a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
-    ).astype(DTYPE)
+    a = a.astype(np.float64, copy=False)
+    cut = _column_cut(b)
+    if cut:
+        return _split_matmul(a, b, cut)
+    return np.matmul(a, b.astype(np.float64, copy=False)).astype(DTYPE)
 
 
 def softmax_rows(x):

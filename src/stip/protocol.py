@@ -19,9 +19,11 @@ every row because later steps attend to them.
 A deploy writes θ′ once. P1 gathers each θ′ tensor from its own weights
 straight into its slot in the DEPLOY_MODEL container
 (`container.encode_model(params, pset)`), an unzeroed buffer that the
-gathers fill on two threads, and P2 serves θ′ from read-only views into the
+gathers fill on two cores, and P2 serves θ′ from read-only views into the
 payload it received: it keeps no second copy. P2's sentinel scan of the
-payload (`container.decode_model`) splits over two threads the same way.
+payload (`container.decode_model`) splits over two cores the same way, on
+the helper thread that also takes half of each float32 expert product
+(`numerics.matmul`).
 
 P2 keeps θ′ and its epoch, which names one key set: a deploy must advance
 it, and a REKEY notice that retires it drops θ′, and with it the payload.
@@ -378,6 +380,7 @@ class DataOwnerParty:
         self.session_id = _rand_session_id(session_seed)
 
     def handle_deploy_keys(self, frame):
+        """Install {π, π_c}, or raise StaleEpochError unless the epoch advances P3's."""
         if frame.msg_type is not wire.MsgType.DEPLOY_KEYS:
             raise ProtocolError(f"expected DEPLOY_KEYS, got {frame.msg_type.name}")
         pset, epoch = container.decode_keys(frame.payload)
@@ -389,6 +392,8 @@ class DataOwnerParty:
             raise ProtocolError(
                 f"keys payload epoch {epoch} != frame epoch {frame.epoch}"
             )
+        if self.epoch is not None and epoch <= self.epoch:
+            raise StaleEpochError(f"keys epoch {epoch} does not advance {self.epoch}")
         self.pi = pset.pi
         self.pi_c = pset.pi_c
         self.epoch = epoch

@@ -1,12 +1,14 @@
 """Shared fixtures and config factories."""
 
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 import stip.model
+from stip import numerics
 from stip.container import FORMAT_VERSION, MODEL_MAGIC, config_to_bytes
 from stip.model import FfnKind, MaskKind, ModelConfig, NormKind, NormPlacement
 from stip.errors import DegenerateRowError, InvalidDimensionError
@@ -55,6 +57,35 @@ def overflowing_container(cfg):
     """
     head = struct.pack("<4sH", MODEL_MAGIC, FORMAT_VERSION) + config_to_bytes(cfg)
     return head + struct.pack("<H3sB3I", 3, b"W_c", 3, 2**31, 2**31, 4)
+
+
+@contextmanager
+def two_cores(min_elements, cpus=2):
+    """Split work of at least `min_elements` elements as on a host of `cpus` CPUs.
+
+    With `cpus` None the host's own CPU count stands. Yields the list of
+    halves handed to the helper thread meanwhile.
+    """
+    handed = []
+    offer = numerics._Helper.offer
+
+    def recorded(self, half):
+        if not offer(self, half):
+            return False
+        handed.append(half)
+        return True
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "SPLIT_MIN_ELEMENTS", min_elements)
+        if cpus is not None:
+            mp.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        mp.setattr(numerics._Helper, "offer", recorded)
+        yield handed
+
+
+def helper_idle(handed):
+    """Every half in `handed` has ended, and the helper thread is running none."""
+    return all(h.fn is None for h in handed) and not numerics._helper._busy
 
 
 VARIANT_CONFIGS = {

@@ -128,3 +128,11 @@ def test_a_second_call_with_another_command_exits_2_and_leaves_the_file(
     assert exc.value.code == 2
     assert (tmp_path / "BENCH_t.json").read_bytes() == before
     assert len(calls) == 2  # the refused call ran nothing
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_host_counts_cpus_where_the_os_has_no_affinity(cpus, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(bench_pairs.os, "sched_getaffinity")
+    monkeypatch.setattr(bench_pairs.os, "cpu_count", lambda: cpus)
+    assert bench_pairs.host()["nproc"] == cpus

@@ -4,7 +4,6 @@ import json
 import struct
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VARIANT_CONFIGS, make_config, overflowing_container
-from stip import container
+from conftest import (
+    VARIANT_CONFIGS,
+    helper_idle,
+    make_config,
+    overflowing_container,
+    two_cores,
+)
+from stip import numerics
 from stip.container import (
     FORMAT_VERSION,
     KEYS_MAGIC,
@@ -163,28 +168,6 @@ def _check_theta_prime_container(
         assert got[name].tobytes() == np.asarray(tensor, dtype=F32).tobytes(), name
 
 
-@contextmanager
-def two_cores(min_elements, cpus=2):
-    """Split tensors of at least `min_elements` as on a host of `cpus` CPUs.
-
-    With `cpus` None the host's own CPU count stands. Yields the list of
-    threads the container code starts meanwhile.
-    """
-    started = []
-
-    class Thread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(container, "SPLIT_MIN_ELEMENTS", min_elements)
-        if cpus is not None:
-            mp.setattr(container.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        mp.setattr(container.threading, "Thread", Thread)
-        yield started
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     norm_kind=st.sampled_from(NormKind),
@@ -199,11 +182,11 @@ def test_theta_prime_split_between_two_threads_is_para_trans_encoded(
     norm_kind, placement, ffn_kind, n_experts, neg_inf, served, seed
 ):
     # with no size threshold, every tensor is in the split
-    with two_cores(0) as started:
+    with two_cores(0) as handed:
         _check_theta_prime_container(
             norm_kind, placement, ffn_kind, n_experts, neg_inf, served, seed
         )
-    assert started and not any(t.is_alive() for t in started)
+    assert handed and helper_idle(handed)
 
 
 def test_full_size_theta_prime_split_between_two_threads_is_para_trans_encoded():
@@ -213,15 +196,32 @@ def test_full_size_theta_prime_split_between_two_threads_is_para_trans_encoded()
     )
     params = with_neg_inf(replace(gen_model(cfg, 12), embedding=None))
     pset = gen_permutation_set(cfg, 13)
-    with two_cores(container.SPLIT_MIN_ELEMENTS) as started:
+    with two_cores(numerics.SPLIT_MIN_ELEMENTS) as handed:
         blob = encode_model(params, pset)
         model = decode_model(blob)
-    assert len(started) == 2  # one helper to write, one to scan
-    with two_cores(float("inf")) as started:  # the same, on one thread
+    assert len(handed) == 2  # one half to write, one to scan
+    with two_cores(float("inf")) as handed:  # the same, on one thread
         want = encode_model(para_trans(params, pset))
-    assert not started
+    assert not handed
     assert blob == want
     assert np.isneginf(model.w_c).sum() == 1
+
+
+def test_rekey_churn_theta_prime_is_dealt_out_by_load():
+    cfg = make_config(
+        n_layers=4, d_model=256, d_ff=1024, vocab_size=4096, ffn_kind=FfnKind.GELU
+    )
+    params = replace(gen_model(cfg, 22), embedding=None)
+    sizes = [t.size for t in _tensor_map(params).values()]
+    jobs = [(n, i) for i, n in enumerate(sizes)]
+    mine, theirs = numerics._deal(jobs)
+    assert sorted(mine + theirs) == list(range(len(jobs)))
+    # every small tensor stays on the caller; the large ones are shared by load
+    assert not any(sizes[i] < numerics.SPLIT_MIN_ELEMENTS for i in theirs)
+    caller, helper = sum(sizes[i] for i in mine), sum(sizes[i] for i in theirs)
+    assert abs(caller - helper) <= max(sizes)
+    # W′_c alone is a quarter of θ′: dealing in turn gave the caller ~62%
+    assert max(sizes) == 256 * 4096 and abs(caller - helper) < 0.1 * sum(sizes)
 
 
 @pytest.mark.parametrize("side", ["helper", "caller"])
@@ -230,38 +230,43 @@ def test_a_fault_in_either_half_of_a_split_encode_leaves_no_thread(side, monkeyp
     params = gen_model(cfg, 14)
     pset = gen_permutation_set(cfg, 15)
     into = Gather.into
-    on_helper = side == "helper"
+    helper_started = threading.Event()
 
     def into_or_fail(self, out):
-        if (threading.current_thread() is not threading.main_thread()) == on_helper:
+        on_helper = threading.current_thread() is not threading.main_thread()
+        if on_helper:
+            helper_started.set()
+        else:  # the helper's half has started before the caller's goes on
+            assert helper_started.wait(timeout=5)
+        if on_helper == (side == "helper"):
             time.sleep(0.05)  # fail after the other half is done
             raise RuntimeError(f"gather failed on the {side}")
         into(self, out)
 
     monkeypatch.setattr(Gather, "into", into_or_fail)
-    with two_cores(0) as started:
+    with two_cores(0) as handed:
         with pytest.raises(RuntimeError, match=side):
             encode_model(params, pset)
-    assert len(started) == 1 and not started[0].is_alive()
+    assert len(handed) == 1 and helper_idle(handed)
 
 
 def test_a_desk_sized_model_is_written_and_read_on_one_thread():
     cfg = make_config(n_layers=4, d_model=64, d_ff=256, vocab_size=100)
     params = gen_model(cfg, 16)
-    with two_cores(container.SPLIT_MIN_ELEMENTS) as started:
+    with two_cores(numerics.SPLIT_MIN_ELEMENTS) as handed:
         decode_model(encode_model(params, gen_permutation_set(cfg, 17)))
         decode_model(encode_model(params))
-    assert not started
+    assert not handed
 
 
 def test_one_cpu_starts_no_helper():
     cfg = make_config(d_model=16, d_ff=32)
     params = gen_model(cfg, 18)
     pset = gen_permutation_set(cfg, 19)
-    with two_cores(0, cpus=1) as started:
+    with two_cores(0, cpus=1) as handed:
         blob = encode_model(params, pset)
         decode_model(blob)
-    assert not started
+    assert not handed
     assert blob == encode_model(para_trans(params, pset))
 
 
@@ -271,15 +276,15 @@ def test_a_host_without_affinity_splits_by_its_cpu_count(cpus, monkeypatch):
     cfg = make_config(d_model=16, d_ff=32)
     params = gen_model(cfg, 20)
     pset = gen_permutation_set(cfg, 21)
-    with two_cores(float("inf")) as started:
+    with two_cores(float("inf")) as handed:
         want = encode_model(params, pset)
-    assert not started
-    monkeypatch.delattr(container.os, "sched_getaffinity")
-    monkeypatch.setattr(container.os, "cpu_count", lambda: cpus)
-    with two_cores(0, cpus=None) as started:
+    assert not handed
+    monkeypatch.delattr(numerics.os, "sched_getaffinity")
+    monkeypatch.setattr(numerics.os, "cpu_count", lambda: cpus)
+    with two_cores(0, cpus=None) as handed:
         blob = encode_model(params, pset)
-    assert len(started) == cpus - 1
-    assert not any(t.is_alive() for t in started)
+    assert len(handed) == cpus - 1
+    assert helper_idle(handed)
     assert blob == want
 
 

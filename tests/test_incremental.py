@@ -23,6 +23,7 @@ from stip.errors import (
     DegenerateRowError,
     InvalidConfigError,
     ProtocolError,
+    StaleEpochError,
 )
 from stip.model import (
     FfnKind,
@@ -377,13 +378,15 @@ def test_step_after_rekey_and_redeploy_is_never_served_from_old_cache(same_epoch
         assert p1_link.ask(notice).msg_type is wire.MsgType.ACK
         if same_epoch:
             # a new key set under the epoch number the cache was built at is
-            # refused, and nothing is served at that epoch
+            # refused by P2 and by P3, and nothing is served at that epoch
             rogue = DeveloperParty(params, session_seed=13)
             rogue_model, rogue_keys = rogue.initialize(15)
             assert rogue_model.epoch == p2.epoch
             assert error_code(p1_link.ask(rogue_model)) == wire.ErrorCode.STALE_EPOCH
             assert (p2.model, p2.epoch) == (None, 1)
-            p3.handle_deploy_keys(rogue_keys)
+            with pytest.raises(StaleEpochError):
+                p3.handle_deploy_keys(rogue_keys)
+            assert p3.epoch == 1
             rogue_step = p3.infer_request([3], start=3)
             assert error_code(p3_link.ask(rogue_step)) == wire.ErrorCode.STALE_EPOCH
         assert p1_link.ask(to_p2).msg_type is wire.MsgType.ACK

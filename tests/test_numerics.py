@@ -1,6 +1,10 @@
 """Numerics layer: permutations, matmul, softmax, norms, activations."""
 
 import math
+import multiprocessing
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -9,12 +13,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (
+    helper_idle,
     layernorm_mean_oracle,
     matmul_cast_oracle,
     rmsnorm_mean_oracle,
     sigmoid_scatter_oracle,
     softmax_where_oracle,
+    two_cores,
 )
+from stip import numerics
 from stip.errors import DegenerateRowError, InvalidDimensionError
 from stip.numerics import (
     F32_MIN,
@@ -225,6 +232,177 @@ def test_matmul_float32_and_float64_forms_give_the_same_bytes():
     for lhs in (a, a.astype(np.float64)):
         for rhs in (b, b.astype(np.float64), b.astype(np.float64).T.copy().T):
             assert matmul(lhs, rhs).tobytes() == out.tobytes()
+
+
+# --- matmul on two cores ----------------------------------------------------
+
+
+@given(
+    n=st.sampled_from([1, 2, 63, 64]),
+    k=st.integers(0, 40).map(lambda i: 2 * i + 1),
+    m=st.integers(32, 160).map(lambda i: 2 * i + 1),
+    seed=st.integers(0, 2**16),
+)
+def test_a_split_product_has_the_bytes_of_an_unsplit_one(n, k, m, seed):
+    a = randm((n, k), seed=seed, scale=3.0)
+    b = randm((k, m), seed=seed + 1, scale=3.0)
+    with two_cores(0) as handed:
+        out = matmul(a, b)
+    assert len(handed) == 1 and helper_idle(handed)
+    assert out.tobytes() == matmul_cast_oracle(a, b).tobytes()
+
+
+def test_a_float64_operand_is_never_handed_to_the_helper():
+    a = randm((4, 96), seed=40)
+    b = randm((96, 200), seed=41)
+    with two_cores(0) as handed:
+        for rhs in (b.astype(np.float64), b.astype(np.float64).T.copy().T):
+            assert matmul(a, rhs).tobytes() == matmul_cast_oracle(a, b).tobytes()
+        assert not handed
+        matmul(a, b)  # the float32 form of the same operand is split
+    assert len(handed) == 1
+
+
+def test_a_product_below_the_threshold_or_too_narrow_to_cut_is_not_split():
+    a = randm((2, 8), seed=42)
+    with two_cores(numerics.SPLIT_MIN_ELEMENTS) as handed:
+        matmul(a, randm((8, 1024), seed=43))
+    with two_cores(0) as narrow:
+        matmul(a, randm((8, 64), seed=44))  # the cut at 64 would leave no right half
+    assert not handed and not narrow
+
+
+def test_one_cpu_hands_nothing_off():
+    a = randm((3, 64), seed=45)
+    b = randm((64, 256), seed=46)
+    with two_cores(0, cpus=1) as handed:
+        out = matmul(a, b)
+    assert not handed
+    assert out.tobytes() == matmul_cast_oracle(a, b).tobytes()
+
+
+@pytest.mark.parametrize("side", ["helper", "caller"])
+def test_a_fault_in_either_half_reaches_the_caller_and_the_helper_runs_the_next_split(
+    side,
+):
+    started = threading.Event()
+
+    def there():
+        started.set()
+        if side == "helper":
+            raise RuntimeError("helper half failed")
+
+    def here():
+        assert started.wait(timeout=5)  # the helper has its half
+        if side == "caller":
+            raise RuntimeError("caller half failed")
+
+    with two_cores(0) as handed:
+        with pytest.raises(RuntimeError, match=f"{side} half failed"):
+            numerics._two_halves(here, there)
+        assert len(handed) == 1 and helper_idle(handed)
+        started.clear()
+        ran_on = []
+
+        def record():
+            ran_on.append(threading.current_thread().name)
+            started.set()
+
+        numerics._two_halves(lambda: started.wait(timeout=5), record)
+    assert ran_on == ["stip-helper"]
+    assert len(handed) == 2 and helper_idle(handed)
+
+
+def test_a_busy_helper_leaves_both_halves_to_the_caller():
+    release = threading.Event()
+    blocker = numerics._Half(lambda: release.wait(timeout=5))
+    a = randm((2, 64), seed=47)
+    b = randm((64, 256), seed=48)
+    with two_cores(0) as handed:
+        assert numerics._helper.offer(blocker)
+        try:
+            out = matmul(a, b)
+        finally:
+            release.set()
+        assert blocker.done.wait(timeout=5)
+    assert handed == [blocker]  # the product's half was refused, not queued
+    assert out.tobytes() == matmul_cast_oracle(a, b).tobytes()
+
+
+def test_a_half_the_helper_has_not_started_is_taken_back(monkeypatch):
+    # a helper whose thread never takes its pending half
+    stalled = numerics._Helper()
+    stalled._thread = threading.current_thread()
+    monkeypatch.setattr(numerics, "_helper", stalled)
+    a = randm((2, 64), seed=49)
+    b = randm((64, 256), seed=50)
+    with two_cores(0) as handed:
+        out = matmul(a, b)
+    assert len(handed) == 1 and helper_idle(handed)
+    assert stalled._pending is None
+    assert out.tobytes() == matmul_cast_oracle(a, b).tobytes()
+
+
+def test_two_threads_multiplying_at_once_both_get_their_products():
+    pairs = [(randm((3, 64), seed=60 + i), randm((64, 200), seed=80 + i)) for i in range(8)]
+    want = [matmul_cast_oracle(a, b).tobytes() for a, b in pairs]
+    got = {0: [], 1: []}
+
+    def work(t):
+        for _ in range(20):
+            got[t].append([matmul(a, b).tobytes() for a, b in pairs])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with two_cores(0) as handed:
+            threads = [threading.Thread(target=work, args=(t,)) for t in got]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got[0] == got[1] == [want] * 20
+    assert handed and helper_idle(handed)
+
+
+def test_a_split_products_operands_die_once_it_returns():
+    a = randm((2, 64), seed=51)
+    b = randm((64, 256), seed=52)
+    refs = [weakref.ref(a), weakref.ref(b)]
+    with two_cores(0) as handed:
+        out = matmul(a, b)
+    del a, b
+    assert [r() for r in refs] == [None, None]
+    assert len(handed) == 1 and out.shape == (2, 256)
+
+
+def _split_product_in_a_child():
+    a = randm((2, 64), seed=53)
+    b = randm((64, 256), seed=54)
+    if matmul(a, b).tobytes() != matmul_cast_oracle(a, b).tobytes():
+        sys.exit(2)
+    helper = numerics._helper._thread
+    sys.exit(0 if helper is not None and helper.is_alive() else 3)
+
+
+def test_a_forked_child_starts_its_own_helper():
+    with two_cores(0) as handed:
+        matmul(randm((2, 64), seed=55), randm((64, 256), seed=56))
+        assert handed  # the parent's helper thread is running
+        child = multiprocessing.get_context("fork").Process(
+            target=_split_product_in_a_child
+        )
+        child.start()
+        try:
+            child.join(timeout=30)
+            assert not child.is_alive()
+        finally:
+            if child.is_alive():
+                child.kill()
+    assert child.exitcode == 0
 
 
 # --- softmax ---------------------------------------------------------------

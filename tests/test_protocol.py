@@ -16,8 +16,14 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 import stip.protocol
 import stip.transport
-from conftest import VARIANT_CONFIGS, make_config, overflowing_container
-from stip import container, wire
+from conftest import (
+    VARIANT_CONFIGS,
+    helper_idle,
+    make_config,
+    overflowing_container,
+    two_cores,
+)
+from stip import container, numerics, wire
 from stip.errors import (
     AbortedGenerationError,
     CodecError,
@@ -113,6 +119,20 @@ def test_server_rejects_non_advancing_deploy():
     p2.handle_deploy(to_p2)
     with pytest.raises(StaleEpochError):
         p2.handle_deploy(to_p2)
+
+
+def test_data_owner_rejects_non_advancing_keys_and_keeps_its_own():
+    params = desk_params(10)
+    p1 = DeveloperParty(params, session_seed=0)
+    p3 = DataOwnerParty(params.embedding)
+    _, first = p1.initialize(11)
+    _, second = p1.rekey(12)
+    p3.handle_deploy_keys(second)
+    held = (p3.pi, p3.pi_c, p3.epoch)
+    for stale in (first, second):  # an older epoch, and the same one again
+        with pytest.raises(StaleEpochError, match="does not advance 2"):
+            p3.handle_deploy_keys(stale)
+        assert (p3.pi, p3.pi_c, p3.epoch) == held
 
 
 def test_data_owner_rejects_full_key_set():
@@ -793,6 +813,80 @@ def test_simulation_rekey_between_prompts_keeps_streams(kind):
     assert sent == ["DEPLOY_MODEL", "DEPLOY_KEYS", "REKEY", "DEPLOY_MODEL", "DEPLOY_KEYS"]
     notice = next(e for e in transcript.entries if e["msg_type"] == "REKEY")
     assert (notice["direction"], notice["epoch"]) == ("P1->P2", 2)
+
+
+def _moe_params_with_splittable_experts(seed):
+    # experts of at least 65 columns, so that a cut at 64 leaves two halves
+    return desk_params(seed, d_model=72, d_ff=136, **WIDE_VARIANTS["moe_rms_swiglu"])
+
+
+def _count_split_products(monkeypatch):
+    calls = []
+    split = numerics._split_matmul
+
+    def counted(a, b, cut):
+        calls.append(b.shape)
+        return split(a, b, cut)
+
+    monkeypatch.setattr(numerics, "_split_matmul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["inproc", "socket"])
+def test_split_expert_products_keep_local_greedy_tokens(kind, monkeypatch):
+    # with no size threshold, P2 splits every float32 product: the expert
+    # products; the widened dense θ′ and the K′/V′ cache are float64
+    params = _moe_params_with_splittable_experts(59)
+    prompts = [[0, 1], [5, 3, 2]]
+    local = [greedy_generate(params, p, 4) for p in prompts]
+    split = _count_split_products(monkeypatch)
+    with two_cores(0) as handed:
+        streams, _ = run_simulation(
+            params, prompts, 4, transport_kind=kind, seed=60, rekey_between=True
+        )
+    assert streams == local
+    assert set(split) == {(72, 136), (136, 72)}
+    assert handed and helper_idle(handed)
+
+
+def test_a_rekey_after_split_served_requests_frees_theta_prime_and_its_payload(
+    monkeypatch,
+):
+    class Payload(bytearray):
+        """A container that can be weakly referenced."""
+
+    params = _moe_params_with_splittable_experts(61)
+    p1 = DeveloperParty(params, session_seed=62)
+    p2 = ServerParty()
+    p3 = DataOwnerParty(params.embedding, session_seed=63)
+    to_p2, to_p3 = p1.initialize(64)
+    p3.handle_deploy_keys(to_p3)
+    payload = Payload(to_p2.payload)
+    frame = wire.make_deploy_model(payload, to_p2.epoch, to_p2.session_id)
+    alive = weakref.ref(payload)
+    del to_p2, payload
+    want = greedy_generate(params, [1, 2], 3)
+    near, far = inproc_pair()
+    split = _count_split_products(monkeypatch)
+    with two_cores(0) as handed:
+        t = _serve_on_thread(p2, far)
+        try:
+            near.send(frame)
+            assert near.recv(timeout=5).msg_type is wire.MsgType.ACK
+            del frame
+            assert p3.generate([1, 2], 3, near) == want
+            assert split and handed and helper_idle(handed)
+            retired = weakref.ref(p2.model)
+            p1.rekey(65)
+            near.send(p1.rekey_notice())
+            assert near.recv(timeout=5).msg_type is wire.MsgType.ACK
+            assert p2.model is None
+            gc.collect()
+            assert retired() is None and alive() is None
+        finally:
+            near.close()
+            t.join(timeout=5)
+    assert not t.is_alive()
 
 
 def test_simulation_rejects_unknown_transport():

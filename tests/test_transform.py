@@ -183,7 +183,9 @@ def test_transform_layer_dim_mismatch():
         layer_prime(params, identity_perm(4), lp)
 
 
-@pytest.mark.parametrize("rows,cols", [(1, 1), (4, 6), (33, 7), (64, 256)])
+@pytest.mark.parametrize(
+    "rows,cols", [(1, 1), (4, 6), (33, 7), (64, 256), (600, 700), (5, 300001)]
+)
 def test_two_sided_take_equals_row_then_column_gather(rows, cols):
     w = randm((rows, cols), rows + cols)
     w[0, -1] = -np.inf

@@ -28,6 +28,8 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# The CPU count in the summary comes from this checkout's `stip`.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def quartiles(values):
@@ -122,9 +124,11 @@ def metric_directions(checkout):
 def host():
     import numpy
 
+    from stip.numerics import usable_cpus
+
     return {
         "OPENBLAS_NUM_THREADS": "1",
-        "nproc": len(os.sched_getaffinity(0)),
+        "nproc": usable_cpus(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
     }
