@@ -7,6 +7,15 @@ then tensors until EOF as (name_len u16, name, rank u8, dims u32 each,
 payload f32 row-major). A full model holds an `embedding` tensor; the served
 form that P1 deploys to P2 omits it, since only P3 embeds tokens.
 
+An MoE expert matrix (W_1, W_2 or W_3 of `layers.i.experts.j`) whose
+columns split into panels (`numerics.panel_width`) is a rank-3 tensor of
+column panels, dims (P, k, cb): panel p holds columns [p·cb, (p+1)·cb) of
+the logical k×n matrix, row-major, and n = P·cb. It decodes to a
+`numerics.PanelMatrix` over the payload. A reader takes any panel width
+that is a positive multiple of 64 and gives the expected logical dims; any
+other rank-3 tensor is malformed. Every other tensor, and an expert with no
+such width, is row-major as it stands.
+
 Keys file: magic "STPK", version u16, epoch u64, count u32, then per
 permutation (role u8, layer u16, dim u32, indices u32 each). Role tags:
 0=pi, 1=pi_c, 2=pi1, 3=pi2, 4=pi3 (one per expert in order for mixture
@@ -42,8 +51,11 @@ from .model import (
 from .numerics import (
     DTYPE,
     Gather,
+    PanelMatrix,
     Permutation,
+    as_panels,
     on_two_cores,
+    panel_width,
     restore_neg_inf,
     sanitize_neg_inf,
     sanitize_neg_inf_in_place,
@@ -114,10 +126,23 @@ def _tensor_map(params):
     return out
 
 
+def _is_expert(name):
+    """Whether tensor `name` is an MoE expert matrix, the one kind stored as panels."""
+    return ".experts." in name
+
+
 def _take(tensors, name, shape):
+    """Tensor `name` of logical `shape`; an expert's rank-3 panels become a PanelMatrix."""
     if name not in tensors:
         raise CodecError(f"model file is missing tensor {name!r}")
     t = tensors.pop(name)
+    if t.ndim == 3 and _is_expert(name):
+        if t.shape[2] % 64:
+            raise CodecError(
+                f"{name} has shape {t.shape}: panels of {t.shape[2]} columns, "
+                "not a multiple of 64"
+            )
+        t = PanelMatrix(t)
     if t.shape != shape:
         raise CodecError(f"{name} has shape {t.shape}, expected {shape}")
     return t
@@ -211,12 +236,23 @@ def _tensor_head(name, shape):
     return struct.pack(f"<H{len(nm)}sB{len(shape)}I", len(nm), nm, len(shape), *shape)
 
 
+def _stored_shape(name, t):
+    """Dims tensor `name` is written with: an expert matrix's panels where it has them."""
+    if type(t) is PanelMatrix:
+        return t.panels.shape
+    shape = np.shape(t)
+    cb = panel_width(*shape) if _is_expert(name) else 0
+    return (shape[1] // cb, shape[0], cb) if cb else shape
+
+
 def _write_tensor(job):
     t, dst = job
     if isinstance(t, Gather):
         t.into(dst)
+    elif type(t) is PanelMatrix:
+        dst[...] = t.panels
     else:
-        dst[...] = t
+        dst[...] = as_panels(t, dst.shape[2]) if dst.ndim == 3 else t
     sanitize_neg_inf_in_place(dst)
 
 
@@ -228,13 +264,15 @@ def encode_model(params, pset=None):
     every byte is written once. Given a permutation set, the container holds
     θ′ = para_trans(params, pset), and each θ′ tensor is gathered from params
     into its slot (`transform.gather_plan`): θ′ is never written anywhere
-    else. Large tensors are written on two cores (`numerics.on_two_cores`).
+    else. An expert matrix is written as column panels where it has them
+    (`_stored_shape`), a gathered one straight into that order. Large
+    tensors are written on two cores (`numerics.on_two_cores`).
     """
     if pset is not None:
         params = gather_plan(params, pset)
     tensors = []
     for name, t in _tensor_map(params).items():
-        shape = np.shape(t)
+        shape = _stored_shape(name, t)
         tensors.append((_tensor_head(name, shape), shape, t))
     start = _HEAD.size + _CONFIG.size
     size = start + sum(len(h) + 4 * math.prod(s) for h, s, _ in tensors)
@@ -275,8 +313,9 @@ def decode_model(raw):
     """Container bytes -> model of read-only views into `raw`.
 
     Every tensor is located first; then the sentinel scans run, those of
-    large tensors on two cores (`numerics.on_two_cores`). Bad magic,
-    version or truncation raise CodecError.
+    large tensors on two cores (`numerics.on_two_cores`). An expert matrix
+    stored as panels becomes a PanelMatrix over its panels. Bad magic,
+    version, truncation or a tensor of the wrong dims raise CodecError.
     """
     r = _Reader(raw)
     magic, version = _HEAD.unpack(r.take(_HEAD.size, "header"))
@@ -318,7 +357,7 @@ def save_model(params, path):
 
 
 def load_model(path):
-    """Model file -> model whose tensors are writeable arrays of their own."""
+    """Model file -> model whose tensors are writeable row-major arrays of their own."""
     with open(path, "rb") as f:
         model = decode_model(f.read())
     tensors = {name: np.array(t) for name, t in _tensor_map(model).items()}

@@ -10,9 +10,16 @@ never rounded through float32. Two kinds of operand arrive as float64: the
 K′/V′ rows of the decoding cache, and the dense weight matrices P2 widens
 once per deployment (`protocol.ServerParty`). Every result is float32.
 
-Two cores: `matmul` splits a product whose right operand is a large float32
-matrix, such as an MoE expert, into two column halves, and `on_two_cores`
-deals a deploy's tensor jobs out by load. Both hand their far half to one
+Column panels: an MoE expert matrix travels and is served as a
+`PanelMatrix`, its columns in contiguous blocks of `panel_width` columns,
+so `matmul` widens one L2-sized panel at a time instead of a strided column
+range. Its `shape` is the logical (k, n), and `np.asarray` gives the
+logical matrix.
+
+Two cores: `matmul` deals the column panels of a large float32 right
+operand between two threads: a `PanelMatrix`'s own panels, or the two
+column halves of a row-major float32 matrix. `on_two_cores` deals a
+deploy's tensor jobs out by load. Both hand their far half to one
 persistent daemon thread (`_Helper`), started at the first split; a
 process allowed one CPU (`usable_cpus`) hands nothing off.
 """
@@ -193,31 +200,45 @@ class Gather:
         return self.src.shape
 
     def into(self, out):
-        """Write the tensor into `out`, a float32 array of its shape at any alignment.
+        """Write the tensor into `out`, a float32 array at any alignment.
 
-        Both sides permuted: a block of rows at a time goes into a scratch
-        array of at most _GATHER_BLOCK elements, and its columns from there
-        into `out`. The scratch stays small whatever the tensor's size, so a
-        gather run on the helper thread (`on_two_cores`) leaves little in
-        that thread's malloc arena. Each np.take uses mode="clip", because
-        with the default "raise" numpy buffers the whole `out`. Nothing is
-        clipped: a Permutation's indices are a checked bijection, and the
-        constructor checked each permuted axis against its permutation.
+        `out` has the tensor's shape or, for a matrix, the (P, k, cb) shape
+        of its column panels (`PanelMatrix`): then each block of rows goes
+        into the P panels in turn, so the panels are written in one pass.
+
+        Both sides permuted, or panels: a block of rows at a time goes into
+        a scratch array of at most _GATHER_BLOCK elements, and its columns
+        from there into `out`. The scratch stays small whatever the tensor's
+        size, so a gather run on the helper thread (`on_two_cores`) leaves
+        little in that thread's malloc arena. Each np.take uses mode="clip",
+        because with the default "raise" numpy buffers the whole `out`.
+        Nothing is clipped: a Permutation's indices are a checked bijection,
+        and the constructor checked each permuted axis against its
+        permutation.
         """
-        if self.cols is None:
+        panels = out.ndim == 3
+        if self.cols is None and not panels:
             _take_into(self.src, self.rows, 0, out)
             return
-        if self.rows is None:
+        if self.rows is None and not panels:
             _take_into(self.src, self.cols, -1, out)
             return
-        n = self.src.shape[1]
+        k, n = self.src.shape
+        rows = np.arange(k) if self.rows is None else self.rows.indices
+        cols = np.arange(n) if self.cols is None else self.cols.indices
+        cb = out.shape[2] if panels else n
         step = max(1, _GATHER_BLOCK // n)
-        scratch = np.empty((min(step, self.rows.dim), n), DTYPE)
-        for i in range(0, self.rows.dim, step):
-            rows = self.rows.indices[i : i + step]
-            part = scratch[: rows.size]
-            np.take(self.src.view(_ITEM), rows, axis=0, out=part.view(_ITEM), mode="clip")
-            _take_into(part, self.cols, -1, out[i : i + step])
+        scratch = np.empty((min(step, k), n), DTYPE)
+        for i in range(0, k, step):
+            block = rows[i : i + step]
+            part = scratch[: block.size]
+            np.take(self.src.view(_ITEM), block, axis=0, out=part.view(_ITEM), mode="clip")
+            for p, c in enumerate(range(0, n, cb)):
+                dst = out[p, i : i + step] if panels else out[i : i + step]
+                np.take(
+                    part.view(_ITEM), cols[c : c + cb], axis=-1, out=dst.view(_ITEM),
+                    mode="clip",
+                )
 
     def array(self):
         out = np.empty(self.shape, dtype=DTYPE)
@@ -386,6 +407,67 @@ def _deal(jobs):
     return sides
 
 
+# Largest float64 copy of one column panel (1 MiB): it stays in a 2 MiB L2
+# cache while it is multiplied.
+PANEL_BYTES = 1 << 20
+
+
+def panel_width(k, n):
+    """Columns per panel of a k×n float32 matrix stored as panels; 0 to keep it row-major.
+
+    The widest multiple of 64 that divides n, whose float64 panel of k rows
+    fits in PANEL_BYTES, and that leaves at least two panels. Cuts at
+    multiples of 64 columns keep the product's bytes (`matmul`).
+    """
+    for cb in range(n // 2 // 64 * 64, 0, -64):
+        if n % cb == 0 and k * cb * 8 <= PANEL_BYTES:
+            return cb
+    return 0
+
+
+def as_panels(m, cb):
+    """The (n/cb, k, cb) column panels of a k×n matrix: panel p is m[:, p·cb:(p+1)·cb]."""
+    k, n = m.shape
+    return m.reshape(k, n // cb, cb).transpose(1, 0, 2)
+
+
+class PanelMatrix:
+    """A k×n float32 matrix held as contiguous column panels, (P, k, cb) = `panels`.
+
+    Panel p holds columns [p·cb, (p+1)·cb) in row-major order. `shape` and
+    `np.shape` read the logical (k, n), and `np.asarray` gives the logical
+    matrix as a copy, so code that reads a matrix reads this one unchanged;
+    `matmul` multiplies it panel by panel without forming it.
+    """
+
+    __slots__ = ("panels",)
+    ndim = 2
+
+    def __init__(self, panels):
+        if panels.ndim != 3:
+            raise InvalidDimensionError(f"panels must be rank 3, got {panels.shape}")
+        self.panels = panels
+
+    @property
+    def shape(self):
+        p, k, cb = self.panels.shape
+        return (k, p * cb)
+
+    @property
+    def dtype(self):
+        return self.panels.dtype
+
+    @property
+    def size(self):
+        return self.panels.size
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a panel matrix has no logical view without a copy")
+        m = self.panels.transpose(1, 0, 2).reshape(self.shape)
+        return m if dtype is None else m.astype(dtype, copy=False)
+
+
 def _matmul_operand(x):
     """A 2-D float32 or float64 ndarray as it is; anything else through as_matrix."""
     if type(x) is np.ndarray and x.ndim == 2 and x.dtype.char in "fd":
@@ -393,42 +475,60 @@ def _matmul_operand(x):
     return as_matrix(x)
 
 
-def _column_cut(b):
-    """Where to split the columns of right operand `b` between two cores; 0 for no split.
+def _column_panels(b):
+    """(output columns, float32 source) pairs that `matmul` widens one at a time; None for none.
 
-    Only a float32 `b` of at least SPLIT_MIN_ELEMENTS elements is split, at
-    the multiple of 64 columns nearest its middle. A float64 `b` (a widened
-    weight matrix, the K′/V′ cache) has no cast to share.
+    A PanelMatrix gives its panels. A row-major float32 `b` of at least
+    SPLIT_MIN_ELEMENTS elements gives two strided column halves, cut at the
+    multiple of 64 columns nearest its middle, when there are two CPUs to
+    share them. A float64 `b` (a widened weight matrix, the K′/V′ cache) has
+    no cast to share.
     """
+    if type(b) is PanelMatrix:
+        cb = b.panels.shape[2]
+        return [(slice(p * cb, (p + 1) * cb), panel) for p, panel in enumerate(b.panels)]
     if b.dtype != DTYPE or b.size < SPLIT_MIN_ELEMENTS or usable_cpus() < 2:
-        return 0
-    cut = (b.shape[1] + 64) // 128 * 64
-    return cut if 0 < cut < b.shape[1] else 0
+        return None
+    n = b.shape[1]
+    cut = (n + 64) // 128 * 64
+    if not 0 < cut < n:
+        return None
+    return [(slice(0, cut), b[:, :cut]), (slice(cut, n), b[:, cut:])]
 
 
-def _split_matmul(a, b, cut):
-    """float64 `a` times float32 `b`, columns [0, cut) here and [cut, n) on the helper.
+def _split_matmul(a, b, panels):
+    """float64 `a` times float32 `b`, one column panel at a time, on two cores.
 
-    Each output column is the same k-ordered dot product as in the unsplit
-    product, so the bytes are the same. Each half casts its columns of `b`
-    into a float64 buffer, multiplies into a float64 buffer of its own and
-    rounds that into its columns of `out`; this thread allocates all three.
+    The caller takes the first half of `panels` and the helper thread the
+    rest, when `b` has at least SPLIT_MIN_ELEMENTS elements and there are two
+    CPUs; otherwise the caller takes them all. Each output column is the same
+    k-ordered dot product as in the unsplit product, so the bytes are the
+    same. Each side widens its panels in turn into one float64 buffer,
+    multiplies into a float64 buffer of its own and rounds that into its
+    columns of `out`; this thread allocates every buffer. The panels of one
+    side are all of one width.
     """
-    m, (k, n) = a.shape[0], b.shape
-    out = np.empty((m, n), DTYPE)
+    m, k = a.shape
+    out = np.empty((m, b.shape[1]), DTYPE)
 
-    def half(cols):
+    def side(part):
+        cols = part[0][0]
         width = cols.stop - cols.start
         b64, prod = np.empty((k, width)), np.empty((m, width))
 
         def product():
-            np.copyto(b64, b[:, cols])
-            np.matmul(a, b64, out=prod)
-            out[:, cols] = prod
+            for cols, panel in part:
+                np.copyto(b64, panel)
+                np.matmul(a, b64, out=prod)
+                out[:, cols] = prod
 
         return product
 
-    _two_halves(half(slice(0, cut)), half(slice(cut, n)))
+    half = (len(panels) + 1) // 2
+    if half == len(panels) or b.size < SPLIT_MIN_ELEMENTS or usable_cpus() < 2:
+        side(panels)()
+    else:
+        _two_halves(side(panels[:half]), side(panels[half:]))
     return out
 
 
@@ -442,18 +542,20 @@ def matmul(a, b):
     P2's widened weight matrices skip the cast on every call. The same values
     given as float32 or as float64 give the same bytes.
 
-    A large float32 `b`, such as an MoE expert's weights, is split by
-    columns over two cores (`_column_cut`, `_split_matmul`), with the same
-    bytes as the unsplit product.
+    `b` may also be a PanelMatrix, such as an MoE expert as P2 holds it. Its
+    panels, or the two column halves of a large row-major float32 `b`, are
+    widened one at a time and dealt between two cores (`_column_panels`,
+    `_split_matmul`), with the same bytes as the unsplit product.
     """
     a = _matmul_operand(a)
-    b = _matmul_operand(b)
+    if type(b) is not PanelMatrix:
+        b = _matmul_operand(b)
     if a.shape[1] != b.shape[0]:
         raise InvalidDimensionError(f"matmul shapes {a.shape} x {b.shape}")
     a = a.astype(np.float64, copy=False)
-    cut = _column_cut(b)
-    if cut:
-        return _split_matmul(a, b, cut)
+    panels = _column_panels(b)
+    if panels:
+        return _split_matmul(a, b, panels)
     return np.matmul(a, b.astype(np.float64, copy=False)).astype(DTYPE)
 
 

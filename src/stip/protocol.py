@@ -23,7 +23,10 @@ gathers fill on two cores, and P2 serves θ′ from read-only views into the
 payload it received: it keeps no second copy. P2's sentinel scan of the
 payload (`container.decode_model`) splits over two cores the same way, on
 the helper thread that also takes half of each float32 expert product
-(`numerics.matmul`).
+(`numerics.matmul`). P1 writes each MoE expert matrix as contiguous column
+panels, so P2 serves it as a `numerics.PanelMatrix` view and widens one
+L2-sized panel at a time; every output bit is the one a row-major expert
+gives.
 
 P2 keeps θ′ and its epoch, which names one key set: a deploy must advance
 it, and a REKEY notice that retires it drops θ′, and with it the payload.
@@ -34,7 +37,9 @@ The engine computes its products in float64, so a one-row step no longer
 casts each of these on every call, and every output bit stays the same. A
 dense θ′ then holds no view into the payload, which is freed; MoE experts
 and W′_g stay float32 views into it. The container stays float32, and
-`state_bytes()` returns it as bytes.
+`state_bytes()` returns it as bytes, expert panels as they came.
+
+A request may reach at most `transport.MAX_ROWS` rows of a sequence.
 
 P2 serves each link in one party's role: P1's link may deploy and re-key,
 P3's link may only ask for inference.
@@ -72,7 +77,7 @@ from .model import (
 )
 from .numerics import DTYPE, apply_col_perm
 from .transform import gen_permutation_set, recover_output
-from .transport import accept, connect, inproc_pair, listen
+from .transport import MAX_ROWS, accept, connect, inproc_pair, listen
 
 RECV_TIMEOUT = 30.0
 
@@ -257,11 +262,14 @@ class ServerParty:
 
         Before any deploy this raises NotInitializedError; once θ′ is
         retired, at another epoch, or for rows cached at an earlier epoch,
-        StaleEpochError. The first request accepted on a θ′ whose W′_c is
+        StaleEpochError. A request whose rows would reach past
+        `transport.MAX_ROWS` (a prefill's n, a step's start + n) raises
+        InvalidDimensionError, a MALFORMED Error frame, and leaves the link's
+        cache as it was. The first request accepted on a θ′ whose W′_c is
         still float32 widens its dense matrices to float64 (`_widen_dense`),
         under the lock and before any forward pass runs on it. Every check on
-        the request (its trailer, width and start against the link's cache)
-        runs first, so a refused request widens nothing.
+        the request (its trailer, width, row count and start against the
+        link's cache) runs first, so a refused request widens nothing.
         """
         if frame.msg_type is not wire.MsgType.INFER_REQUEST:
             raise ProtocolError(f"expected INFER_REQUEST, got {frame.msg_type.name}")
@@ -283,6 +291,10 @@ class ServerParty:
             raise InvalidDimensionError(
                 f"request is {x.shape[0]}x{x.shape[1]}, model needs n>=1 rows "
                 f"of width {cfg.d_model}"
+            )
+        if start + x.shape[0] > MAX_ROWS:
+            raise InvalidDimensionError(
+                f"request reaches row {start + x.shape[0]}, past the {MAX_ROWS}-row cap"
             )
         if start:
             if cache is None or cache.kv is None:

@@ -28,6 +28,13 @@ _CLOSED = object()
 # before reading it, so an unchecked length would let a peer demand any amount
 # of memory; the largest deploy measured is 121.6 MB.
 MAX_PAYLOAD = 512 * 2**20
+# Most rows one sequence may reach on a server link: a prefill's n, or a
+# decode step's start + n. Inside that frame cap a request of a few MiB may
+# carry thousands of rows, and a causal prefill's attention holds about
+# 25·n² bytes (103 MiB at n = 2 048, 398 MiB at 4 096), so n must be bounded
+# before any forward pass. perfbench's longest sequence, desk-decode's, is
+# 16 + 256 rows.
+MAX_ROWS = 2048
 
 
 class InProcTransport:

@@ -43,7 +43,7 @@ from stip.container import (
 )
 from stip.errors import CodecError
 from stip.model import FfnKind, NormKind, NormPlacement, gen_model
-from stip.numerics import F32_MIN, Gather
+from stip.numerics import F32_MIN, Gather, PanelMatrix, as_panels, panel_width
 from stip.transform import gen_permutation_set, para_trans
 
 F32 = np.float32
@@ -382,6 +382,115 @@ def test_model_decode_rejects_dims_whose_count_overflows():
     # 2**31 * 2**31 * 4 elements wrap to 0 in an int64 count
     with pytest.raises(CodecError, match="truncated"):
         decode_model(overflowing_container(make_config()))
+
+
+# --- MoE experts as column panels ------------------------------------------
+
+# W_1/W_3 are 128 x 256 (two panels of 128 columns), W_2 is 256 x 128 (two
+# of 64): each expert matrix is stored as column panels.
+PANEL_CONFIG = dict(
+    n_layers=1, d_model=128, d_ff=256, vocab_size=12, ffn_kind=FfnKind.SWIGLU, n_experts=2
+)
+
+
+def panel_encoding(doc, cfg):
+    """The container of JSON mirror `doc` with each logical expert matrix as its panels."""
+    for name, t in doc["tensors"].items():
+        if ".experts." in name and len(t["dims"]) == 2:
+            k, n = t["dims"]
+            cb = panel_width(k, n)
+            data = np.asarray(t["data"], dtype=F32).reshape(k, n)
+            t["dims"] = [n // cb, k, cb]
+            t["data"] = as_panels(data, cb).reshape(-1).tolist()
+    return encode_json_doc(doc, cfg)
+
+
+def test_expert_matrices_are_written_and_read_as_column_panels(tmp_path):
+    params = with_neg_inf(gen_model(make_config(**PANEL_CONFIG), 30))
+    params.layers[0].experts[1].w2[3, 70] = -np.inf
+    blob = encode_model(params)
+    assert blob == panel_encoding(model_to_json(params), params.config)
+    raw = np.frombuffer(blob, dtype=np.uint8)
+    model = decode_model(blob)
+    for name, tensor in _tensor_map(model).items():
+        want = _tensor_map(params)[name]
+        if ".experts." not in name:
+            assert type(tensor) is np.ndarray and tensor.shape == want.shape, name
+            continue
+        assert type(tensor) is PanelMatrix and tensor.shape == want.shape, name
+        assert tensor.panels.shape[0] == 2 and not tensor.panels.flags.writeable, name
+        assert np.asarray(tensor).tobytes() == want.tobytes(), name
+        # a tensor that held the sentinel is a copy with -inf restored
+        held_inf = bool(np.isneginf(want).any())
+        assert np.shares_memory(tensor.panels, raw) != held_inf, name
+    # the JSON mirror, a re-encode and a loaded model file are all logical
+    assert model_to_json(model) == model_to_json(params)
+    assert encode_model(model) == blob
+    path = tmp_path / "m.stip"
+    save_model(params, str(path))
+    for name, tensor in _tensor_map(load_model(str(path))).items():
+        assert type(tensor) is np.ndarray and tensor.flags.writeable, name
+        assert tensor.tobytes() == _tensor_map(params)[name].tobytes(), name
+
+
+def test_a_theta_prime_gather_writes_expert_panels_on_two_cores():
+    cfg = make_config(**PANEL_CONFIG)
+    params = with_neg_inf(replace(gen_model(cfg, 31), embedding=None))
+    pset = gen_permutation_set(cfg, 32)
+    with two_cores(0) as handed:
+        blob = encode_model(params, pset)
+    assert handed and helper_idle(handed)
+    assert blob == encode_model(para_trans(params, pset))
+    for name, tensor in _tensor_map(decode_model(blob)).items():
+        want = _tensor_map(para_trans(params, pset))[name]
+        assert np.asarray(tensor).tobytes() == want.tobytes(), name
+
+
+def test_a_reader_takes_any_panel_width_that_is_a_multiple_of_64():
+    params = gen_model(make_config(**PANEL_CONFIG), 33)
+    doc = model_to_json(params)
+    # one panel of all 256 columns: not what a writer picks, but the same matrix
+    w1 = doc["tensors"]["layers.0.experts.0.W_1"]
+    w1["dims"] = [1] + w1["dims"]
+    blob = panel_encoding(doc, params.config)
+    model = decode_model(blob)
+    w = model.layers[0].experts[0].w1
+    assert type(w) is PanelMatrix and w.panels.shape == (1, 128, 256)
+    assert np.array_equal(np.asarray(w), params.layers[0].experts[0].w1)
+    assert encode_model(model) == blob  # what it holds is written back as it came
+
+
+def _with_dims(doc, name, dims, data=None):
+    bad = json.loads(json.dumps(doc))
+    bad["tensors"][name]["dims"] = dims
+    if data is not None:
+        bad["tensors"][name]["data"] = data
+    return bad
+
+
+@pytest.mark.parametrize(
+    "name, dims, match",
+    [
+        # panels of a multiple of 64 columns whose logical dims are not (d, d_ff)
+        ("layers.0.experts.0.W_1", [4, 128, 128], "has shape"),
+        ("layers.0.experts.1.W_2", [2, 128, 128], "has shape"),
+        # the logical dims hold, but the panels are 32 columns wide
+        ("layers.0.experts.0.W_3", [8, 128, 32], "not a multiple of 64"),
+        ("layers.0.experts.1.W_2", [4, 256, 32], "not a multiple of 64"),
+        # only an expert matrix may be panels
+        ("layers.0.W_q", [2, 128, 64], "has shape"),
+        ("W_c", [1, 128, 12], "has shape"),
+    ],
+)
+def test_a_misshapen_panel_tensor_is_refused(name, dims, match):
+    params = gen_model(make_config(**PANEL_CONFIG), 34)
+    doc = model_to_json(params)
+    size = int(np.prod(dims))
+    bad = _with_dims(doc, name, dims, [0.0] * size)
+    with pytest.raises(CodecError, match=match):
+        decode_model(encode_json_doc(bad, params.config))
+    with pytest.raises(CodecError, match=match):
+        model_from_json(bad)
 
 
 def test_reader_refuses_a_negative_length():

@@ -25,16 +25,20 @@ from stip import numerics
 from stip.errors import DegenerateRowError, InvalidDimensionError
 from stip.numerics import (
     F32_MIN,
+    Gather,
+    PanelMatrix,
     Permutation,
     apply_col_perm,
     apply_row_perm,
     apply_vec_perm,
+    as_panels,
     gelu,
     gen_permutation,
     identity_perm,
     inverse_perm,
     layernorm,
     matmul,
+    panel_width,
     relu,
     restore_neg_inf,
     rmsnorm,
@@ -403,6 +407,101 @@ def test_a_forked_child_starts_its_own_helper():
             if child.is_alive():
                 child.kill()
     assert child.exitcode == 0
+
+
+# --- column panels ----------------------------------------------------------
+
+
+def panel_matrix(b, cb):
+    """`b` as a PanelMatrix of cb-column panels, read-only as a decoded one is."""
+    panels = np.ascontiguousarray(as_panels(b, cb))
+    panels.flags.writeable = False
+    return PanelMatrix(panels)
+
+
+def test_panel_width_is_the_widest_multiple_of_64_that_fits_and_leaves_two_panels():
+    # moe-prefill's experts: W_1/W_3 are 512 x 1024, W_2 is 1024 x 512
+    assert panel_width(512, 1024) == 256
+    assert panel_width(1024, 512) == 128
+    assert numerics.PANEL_BYTES == 1 << 20
+    assert 512 * 256 * 8 == 1024 * 128 * 8 == numerics.PANEL_BYTES
+    assert panel_width(64, 192) == 64  # 96 would fit, but is no multiple of 64
+    assert panel_width(8, 128) == 64
+    # one panel only, no multiple of 64 dividing n, or no panel in PANEL_BYTES
+    for k, n in ((8, 64), (8, 136), (8, 100), (4096, 1024)):
+        assert panel_width(k, n) == 0, (k, n)
+
+
+def test_a_panel_matrix_reads_as_its_logical_matrix():
+    b = randm((5, 192), seed=90)
+    pm = panel_matrix(b, 64)
+    assert pm.panels.shape == (3, 5, 64)
+    assert pm.shape == np.shape(pm) == (5, 192)
+    assert (pm.ndim, pm.dtype, pm.size) == (2, np.dtype(F32), b.size)
+    for logical in (np.asarray(pm), np.array(pm), np.asarray(pm, dtype=F32)):
+        assert type(logical) is np.ndarray and logical.tobytes() == b.tobytes()
+    assert np.array(pm).flags.writeable
+    assert np.array_equal(pm.panels[1], b[:, 64:128])
+    with pytest.raises(ValueError):
+        np.asarray(pm, copy=False)  # the logical matrix is always a copy
+    with pytest.raises(InvalidDimensionError):
+        PanelMatrix(b)
+
+
+@given(
+    m=st.sampled_from([1, 2, 63, 64]),
+    k=st.integers(1, 40),
+    panels=st.integers(2, 5),
+    cb=st.sampled_from([64, 128]),
+    seed=st.integers(0, 2**16),
+)
+def test_a_panel_product_has_the_bytes_of_a_row_major_one(m, k, panels, cb, seed):
+    a = randm((m, k), seed=seed, scale=3.0)
+    b = randm((k, panels * cb), seed=seed + 1, scale=3.0)
+    want = matmul_cast_oracle(a, b).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "PANEL_BYTES", k * cb * 8)  # small experts have panels
+        assert panel_width(k, panels * cb) == cb
+        pm = panel_matrix(b, panel_width(*b.shape))
+    with two_cores(0) as handed:
+        assert matmul(a, pm).tobytes() == want
+        assert matmul(a.astype(np.float64), pm).tobytes() == want
+    assert len(handed) == 2 and helper_idle(handed)
+    with two_cores(0, cpus=1) as alone:
+        assert matmul(a, pm).tobytes() == want
+    assert not alone
+
+
+def test_a_small_panel_product_stays_on_the_caller():
+    a = randm((3, 8), seed=91)
+    b = randm((8, 256), seed=92)
+    with two_cores(numerics.SPLIT_MIN_ELEMENTS) as handed:
+        out = matmul(a, panel_matrix(b, 64))
+    assert not handed
+    assert out.tobytes() == matmul_cast_oracle(a, b).tobytes()
+
+
+def test_a_panel_matrix_multiplies_in_its_logical_shape():
+    pm = panel_matrix(randm((8, 128), seed=93), 64)
+    with pytest.raises(InvalidDimensionError):
+        matmul(randm((2, 7), seed=94), pm)
+    # as a left operand it is read as its logical matrix
+    b = randm((128, 3), seed=95)
+    assert matmul(pm, b).tobytes() == matmul_cast_oracle(np.asarray(pm), b).tobytes()
+
+
+@pytest.mark.parametrize("sides", ["both", "rows", "cols"])
+def test_a_gather_into_panels_writes_the_panels_of_its_array(sides):
+    src = randm((70, 192), seed=96)
+    rows = gen_permutation(70, 97) if sides != "cols" else None
+    cols = gen_permutation(192, 98) if sides != "rows" else None
+    g = Gather(src, rows, cols)
+    raw = np.zeros(3 * 70 * 64 * 4 + 1, np.uint8)
+    out = np.frombuffer(raw.data, "<f4", offset=1).reshape(3, 70, 64)  # unaligned
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_GATHER_BLOCK", 192 * 16)  # five row blocks
+        g.into(out)
+    assert out.tobytes() == np.ascontiguousarray(as_panels(g.array(), 64)).tobytes()
 
 
 # --- softmax ---------------------------------------------------------------

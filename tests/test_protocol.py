@@ -1,12 +1,15 @@
 """Three-party protocol: deployment, inference rounds, re-keying, partitions."""
 
 import gc
+import importlib.util
 import re
 import socket
+import struct
 import threading
 import time
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,11 +44,12 @@ from stip.model import (
     NormPlacement,
     embed,
     gen_model,
+    greedy_decode_step,
     greedy_generate,
     make_mask,
     model_forward,
 )
-from stip.numerics import apply_col_perm
+from stip.numerics import PanelMatrix, apply_col_perm
 from stip.protocol import (
     DataOwnerParty,
     DeveloperParty,
@@ -820,13 +824,18 @@ def _moe_params_with_splittable_experts(seed):
     return desk_params(seed, d_model=72, d_ff=136, **WIDE_VARIANTS["moe_rms_swiglu"])
 
 
+def _moe_params_with_panelled_experts(seed):
+    # W_1/W_3 are 128 x 256 and W_2 256 x 128: two column panels each
+    return desk_params(seed, d_model=128, d_ff=256, **WIDE_VARIANTS["moe_rms_swiglu"])
+
+
 def _count_split_products(monkeypatch):
     calls = []
     split = numerics._split_matmul
 
-    def counted(a, b, cut):
+    def counted(a, b, panels):
         calls.append(b.shape)
-        return split(a, b, cut)
+        return split(a, b, panels)
 
     monkeypatch.setattr(numerics, "_split_matmul", counted)
     return calls
@@ -849,13 +858,18 @@ def test_split_expert_products_keep_local_greedy_tokens(kind, monkeypatch):
     assert handed and helper_idle(handed)
 
 
+@pytest.mark.parametrize(
+    "experts",
+    [_moe_params_with_splittable_experts, _moe_params_with_panelled_experts],
+    ids=["halves", "panels"],
+)
 def test_a_rekey_after_split_served_requests_frees_theta_prime_and_its_payload(
-    monkeypatch,
+    experts, monkeypatch
 ):
     class Payload(bytearray):
         """A container that can be weakly referenced."""
 
-    params = _moe_params_with_splittable_experts(61)
+    params = experts(61)
     p1 = DeveloperParty(params, session_seed=62)
     p2 = ServerParty()
     p3 = DataOwnerParty(params.embedding, session_seed=63)
@@ -1012,6 +1026,165 @@ def test_an_epoch_names_one_key_set_live_or_retired(kind):
         assert _refused(_ask(hub.p1_link, rogue_model), stale)
         assert (p2.model, p2.epoch) == (model, 2)
         assert p3.generate(prompt, 8, hub.p3_link, timeout=5.0) == local
+    finally:
+        hub.shutdown()
+    assert not any(t.is_alive() for t in hub._threads)
+
+
+# --- MoE experts as column panels -------------------------------------------------
+
+
+def _served_experts(model):
+    return [m for w in model.layers for fw in w.experts for m in (fw.w1, fw.w2, fw.w3)]
+
+
+@pytest.mark.parametrize("kind", ["inproc", "socket"])
+def test_panelled_experts_keep_local_greedy_tokens(kind, monkeypatch):
+    params = _moe_params_with_panelled_experts(150)
+    prompts = [[0, 1], [5, 3, 2]]
+    local = [greedy_generate(params, p, 4) for p in prompts]
+    panelled = []
+    split = numerics._split_matmul
+
+    def counted(a, b, panels):
+        if type(b) is PanelMatrix:
+            panelled.append((b.shape, len(panels)))
+        return split(a, b, panels)
+
+    monkeypatch.setattr(numerics, "_split_matmul", counted)
+    with two_cores(0) as handed:
+        streams, _ = run_simulation(
+            params, prompts, 4, transport_kind=kind, seed=151, rekey_between=True
+        )
+    assert streams == local
+    assert set(panelled) == {((128, 256), 2), ((256, 128), 2)}
+    assert handed and helper_idle(handed)
+
+
+def test_server_state_is_the_panelled_payload_it_received():
+    params = _moe_params_with_panelled_experts(152)
+    p1 = DeveloperParty(params, session_seed=153)
+    p2 = ServerParty()
+    p3 = DataOwnerParty(params.embedding, session_seed=154)
+    to_p2, to_p3 = p1.initialize(155)
+    p2.handle_deploy(to_p2)
+    p3.handle_deploy_keys(to_p3)
+    assert all(type(m) is PanelMatrix for m in _served_experts(p2.model))
+    assert p2.state_bytes() == to_p2.payload
+    p2.serve(p3.infer_request([1, 2], mode=wire.ReplyMode.TOP1))  # widens the dense θ′
+    assert all(type(m) is PanelMatrix for m in _served_experts(p2.model))
+    assert p2.state_bytes() == to_p2.payload
+
+
+def _tensor_dims_patched(payload, name, dims):
+    """The container `payload` with tensor `name` declaring `dims`, of as many elements."""
+    blob = bytearray(payload)
+    nm = name.encode()
+    at = blob.index(struct.pack("<H", len(nm)) + nm) + 2 + len(nm)
+    assert blob[at] == len(dims)
+    blob[at + 1 : at + 1 + 4 * len(dims)] = struct.pack(f"<{len(dims)}I", *dims)
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("kind", ["inproc", "socket"])
+def test_a_misshapen_panel_tensor_is_malformed_and_the_next_deploy_is_served(kind):
+    params = _moe_params_with_panelled_experts(156)
+    p1 = DeveloperParty(params, session_seed=157)
+    p2 = ServerParty()
+    p3 = DataOwnerParty(params.embedding, session_seed=158)
+    to_p2, to_p3 = p1.initialize(159)
+    name = "layers.1.experts.2.W_1"  # stored as (2, 128, 128)
+    bad = [
+        _tensor_dims_patched(to_p2.payload, name, (8, 128, 32)),  # 32-column panels
+        _tensor_dims_patched(to_p2.payload, name, (2, 256, 64)),  # logical 256 x 128
+    ]
+    hub = _ServerHost(p2, kind, 0.0, 5.0)
+    try:
+        for payload in bad:
+            frame = wire.make_deploy_model(payload, to_p2.epoch, to_p2.session_id)
+            assert _refused(_ask(hub.p1_link, frame), wire.ErrorCode.MALFORMED)
+            assert (p2.model, p2.epoch) == (None, None)
+        stip.protocol.deploy(hub.p1_link, p3, to_p2, to_p3)
+        local = greedy_generate(params, [1, 2, 3], 3)
+        assert p3.generate([1, 2, 3], 3, hub.p3_link, timeout=5.0) == local
+    finally:
+        hub.shutdown()
+    assert not any(t.is_alive() for t in hub._threads)
+
+
+def test_a_tracer_reads_logical_shapes_and_the_row_major_flop_count():
+    # a tracer wraps stip.model.matmul by name and counts flops from np.shape
+    params = _moe_params_with_panelled_experts(160)
+
+    def traced_serve(panel_bytes):
+        calls = []
+        matmul = stip.model.matmul
+
+        def counted(a, b, *args, **kwargs):
+            out = matmul(a, b, *args, **kwargs)
+            sa, sb = np.shape(a), np.shape(b)
+            calls.append((sa, sb, 2 * sa[0] * sa[-1] * sb[-1]))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "PANEL_BYTES", panel_bytes)
+            _, p2, p3 = deployed_parties(params, seed=161)
+            mp.setattr(stip.model, "matmul", counted)
+            reply = p2.serve(p3.infer_request([1, 2, 3], mode=wire.ReplyMode.TOP1))
+        return calls, bytes(reply.payload), {type(m) for m in _served_experts(p2.model)}
+
+    panels = traced_serve(numerics.PANEL_BYTES)
+    row_major = traced_serve(0)  # no expert has panels, as before the panel layout
+    assert (panels[2], row_major[2]) == ({PanelMatrix}, {np.ndarray})
+    assert ((128, 256), 2 * 3 * 128 * 256) in {(sb, flop) for _, sb, flop in panels[0]}
+    assert panels[:2] == row_major[:2]
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS.values()
+
+
+def test_the_row_cap_admits_every_benchmark_sequence():
+    longest = max(w.prompt_len + w.new_tokens for w in _benchmark_workloads())
+    assert longest == 16 + 256
+    assert stip.protocol.MAX_ROWS == stip.transport.MAX_ROWS >= longest
+
+
+@pytest.mark.parametrize("kind", ["inproc", "socket"])
+def test_a_request_past_the_row_cap_is_malformed_and_keeps_the_links_cache(
+    kind, monkeypatch
+):
+    monkeypatch.setattr(stip.protocol, "MAX_ROWS", 6)
+    params = desk_params(162)
+    p1 = DeveloperParty(params, session_seed=163)
+    p2 = ServerParty()
+    p3 = DataOwnerParty(params.embedding, session_seed=164)
+    top1 = wire.ReplyMode.TOP1
+    malformed = wire.ErrorCode.MALFORMED
+    hub = _ServerHost(p2, kind, 0.0, 5.0)
+    try:
+        stip.protocol.deploy(hub.p1_link, p3, *p1.initialize(165))
+        assert _refused(_ask(hub.p3_link, p3.infer_request(list(range(7)), mode=top1)), malformed)
+        prompt = [1, 2, 3, 4]
+        reply = _ask(hub.p3_link, p3.infer_request(prompt, mode=top1))
+        assert reply.msg_type is wire.MsgType.INFER_RESPONSE
+        # rows 4..6 would end one past the cap; the link still holds 4 rows
+        past = p3.infer_request([5, 6, 7], start=4, mode=top1)
+        assert _refused(_ask(hub.p3_link, past), malformed)
+        reply = _ask(hub.p3_link, p3.infer_request([5, 6], start=4, mode=top1))
+        assert reply.msg_type is wire.MsgType.INFER_RESPONSE
+        x = embed(prompt + [5, 6], params.embedding)
+        local = model_forward(x, params, make_mask(MaskKind.CAUSAL, n=6))
+        assert greedy_decode_step(p3.recover(reply, top1)) == greedy_decode_step(local)
+        assert _refused(_ask(hub.p3_link, p3.infer_request([7], start=6, mode=top1)), malformed)
+        # a fresh prefill within the cap is served as ever
+        assert p3.generate(prompt, 2, hub.p3_link, timeout=5.0) == greedy_generate(
+            params, prompt, 2
+        )
     finally:
         hub.shutdown()
     assert not any(t.is_alive() for t in hub._threads)

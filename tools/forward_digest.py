@@ -8,10 +8,13 @@ Imports `stip` from `<checkout>/src` and the benchmark's model configs from
 each workload config and four desk-sized variants (post-LN ReLU, pre-LN GeLU,
 RMSNorm SwiGLU, a ReLU MoE), under a causal mask and mask none, it prints the
 digest of `model_forward`'s outputs over a prefill, one-row cached steps and a
-bare forward, once on the plain model and once on θ′ with π-permuted rows; then
-the digests of the DEPLOY_MODEL and DEPLOY_KEYS payloads P1 sends on
-initialize and on a rekey. Two checkouts that print the same lines compute
-the same bytes. The last line digests every line before it.
+bare forward, once on the plain model and once on θ′ with π-permuted rows,
+θ′ as P2 serves it: decoded from the container P1 writes. Then, for the
+DEPLOY_MODEL payloads P1 sends on initialize and on a rekey, the digests of
+the payload, of the logical θ′ tensors `decode_model` returns for it, and of
+the DEPLOY_KEYS payload. Two checkouts that print the same lines compute the
+same bytes; a change of layout alone changes only the payload lines. The
+last line digests every line before it.
 """
 
 import argparse
@@ -43,13 +46,15 @@ def forward_digests(params, mask_kind, seed=0, prefill=16, steps=64):
     The rows are embeddings of seeded random tokens: a prefill of `prefill`
     rows, then `steps` one-row steps through a KVCache, then a bare forward of
     the first BARE_ROWS rows. The permuted side runs θ′ = para_trans(params,
-    Π) on the same rows times π.
+    Π), as `decode_model` reads it from `encode_model(params, Π)`, on the
+    same rows times π.
     """
     import numpy as np
 
+    from stip.container import decode_model, encode_model
     from stip.model import KVCache, embed, make_mask, model_forward
     from stip.numerics import apply_col_perm
-    from stip.transform import gen_permutation_set, para_trans
+    from stip.transform import gen_permutation_set
 
     cfg = params.config
     rng = np.random.default_rng(seed)
@@ -59,7 +64,7 @@ def forward_digests(params, mask_kind, seed=0, prefill=16, steps=64):
     out = {}
     for side, model, rows in (
         ("plain", params, x),
-        ("permuted", para_trans(params, pset), apply_col_perm(x, pset.pi)),
+        ("permuted", decode_model(encode_model(params, pset)), apply_col_perm(x, pset.pi)),
     ):
         h = hashlib.sha256()
         cache = KVCache(len(model.layers))
@@ -72,8 +77,24 @@ def forward_digests(params, mask_kind, seed=0, prefill=16, steps=64):
     return out
 
 
+def theta_digest(payload):
+    """Digest of the logical θ′ tensors `decode_model` returns for a DEPLOY_MODEL payload."""
+    import numpy as np
+
+    from stip.container import _tensor_map, decode_model
+
+    h = hashlib.sha256()
+    for name, t in _tensor_map(decode_model(payload)).items():
+        h.update(name.encode())
+        _update(h, [np.asarray(t)])
+    return h.hexdigest()
+
+
 def deploy_digests(params, seed=0):
-    """Digests of the DEPLOY_MODEL and DEPLOY_KEYS payloads on initialize, then a rekey."""
+    """Digests of the DEPLOY_MODEL payload, its decoded θ′ and the DEPLOY_KEYS payload.
+
+    Once on initialize, once on a rekey.
+    """
     from stip.protocol import DeveloperParty
 
     p1 = DeveloperParty(params, session_seed=seed)
@@ -84,6 +105,7 @@ def deploy_digests(params, seed=0):
     ):
         to_p2, to_p3 = make(key_seed)
         out[f"{step}/model"] = hashlib.sha256(to_p2.payload).hexdigest()
+        out[f"{step}/theta"] = theta_digest(to_p2.payload)
         out[f"{step}/keys"] = hashlib.sha256(to_p3.payload).hexdigest()
         del to_p2, to_p3
     return out
