@@ -46,7 +46,7 @@ from .model import (
     greedy_generate,
 )
 from .numerics import gen_permutation
-from .protocol import run_simulation
+from .protocol import check_generation, run_simulation
 from .security import (
     KpaOutcome,
     bfa_exhaustive,
@@ -238,11 +238,12 @@ def cmd_verify(rc, args):
 
 
 def cmd_simulate(rc, args):
+    prompt = _prompt_ids(rc)
+    check_generation(len(prompt), rc.tokens)
     if args.model:
         params = _load_any_model(args.model)
     else:
         params = gen_model(model_config_from(rc), rc.seed)
-    prompt = _prompt_ids(rc)
     t0 = time.perf_counter()
     streams, transcript = run_simulation(
         params,
@@ -322,6 +323,8 @@ def cmd_attack(rc, args):
 
 def cmd_bench(rc, args):
     cfg = model_config_from(rc)
+    if args.what in ("e2e", "all"):
+        check_generation(len(_prompt_ids(rc)), rc.tokens)
     results = {}
     rows = []
     what = args.what

@@ -21,6 +21,7 @@ from .errors import (
 from .numerics import (
     DTYPE,
     NEG_INF,
+    ColumnConcat,
     as_matrix,
     gelu,
     layernorm,
@@ -302,13 +303,24 @@ def attention(x, w, mask, scale, kv=None, last_row=False):
 
 
 def ffn_forward(v, fw, kind):
-    """Feedforward block: act(vW_1)W_2, or the SwiGLU gate (vW_1 ∘ σ(vW_1) ∘ vW_3)W_2."""
+    """Feedforward block: act(vW_1)W_2, or the SwiGLU gate (vW_1 ∘ σ(vW_1) ∘ vW_3)W_2.
+
+    SwiGLU makes vW_1 and vW_3 as one product, v·[W_1 | W_3] over a
+    `ColumnConcat` that copies neither, and reads the gate and up halves from
+    its 2m columns.
+    """
     kind = FfnKind(kind)
     if kind is FfnKind.SWIGLU:
         if fw.w3 is None:
             raise MissingWeightError("swiglu requires W_3")
-        a = matmul(v, fw.w1)
-        return matmul(a * sigmoid(a) * matmul(v, fw.w3), fw.w2)
+        m = np.shape(fw.w1)[1]
+        if np.shape(fw.w3) != np.shape(fw.w1):
+            raise InvalidDimensionError(
+                f"W_3 is {np.shape(fw.w3)}, W_1 is {np.shape(fw.w1)}"
+            )
+        h = matmul(v, ColumnConcat(fw.w1, fw.w3))
+        a = h[:, :m]
+        return matmul(a * sigmoid(a) * h[:, m:], fw.w2)
     act = relu if kind is FfnKind.RELU else gelu
     return matmul(act(matmul(v, fw.w1)), fw.w2)
 
@@ -397,8 +409,9 @@ def model_forward(x, params, mask, cache=None, last_row=False):
 
     An MoE layer routes each row to its `MOE_TOP_K` best experts.
 
-    With a KVCache, x continues the sequence the cache holds, the output
-    covers x's rows only, and the cache then holds x as well.
+    x must hold at least one row. With a KVCache, x continues the sequence
+    the cache holds, the output covers x's rows only, and the cache then
+    holds x as well.
 
     last_row returns the output's last row alone, as one row, for a caller
     that reads nothing else (a greedy step, a TOP1 reply). Every layer but the
@@ -409,6 +422,8 @@ def model_forward(x, params, mask, cache=None, last_row=False):
     cfg = params.config
     y = as_matrix(x)
     new_rows = y.shape[0]
+    if new_rows == 0:
+        raise InvalidDimensionError("a forward pass needs at least one input row")
     kvs = [None] * len(params.layers)
     if cache is not None:
         if len(cache.layers) != len(params.layers):

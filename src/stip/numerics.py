@@ -16,12 +16,20 @@ so `matmul` widens one L2-sized panel at a time instead of a strided column
 range. Its `shape` is the logical (k, n), and `np.asarray` gives the
 logical matrix.
 
-Two cores: `matmul` deals the column panels of a large float32 right
-operand between two threads: a `PanelMatrix`'s own panels, or the two
-column halves of a row-major float32 matrix. `on_two_cores` deals a
-deploy's tensor jobs out by load. Both hand their far half to one
-persistent daemon thread (`_Helper`), started at the first split; a
-process allowed one CPU (`usable_cpus`) hands nothing off.
+Column concatenation: a `ColumnConcat` is [B_1 | B_2], matrices of one
+row count side by side, none of them copied. `matmul` multiplies it part by
+part, a `PanelMatrix` part panel by panel, into one output; a SwiGLU FFN
+multiplies W_1 and W_3 as one such product.
+
+Two cores: `matmul` deals the column panels of a large right operand
+between two threads: a `PanelMatrix`'s own panels, the parts of a
+`ColumnConcat`, or the two column halves of a row-major matrix. A float32
+matrix splits when its cast is large enough to share (SPLIT_MIN_ELEMENTS),
+a float64 one when its product has enough multiply-adds (SPLIT_MIN_MACS)
+and more than one row. `on_two_cores` deals a deploy's tensor jobs out by
+load. Both hand their far half to one persistent daemon thread
+(`_Helper`), started at the first split; a process allowed one CPU
+(`usable_cpus`) hands nothing off.
 """
 
 import os
@@ -250,6 +258,12 @@ class Gather:
 # two cores: a float32 right operand of `matmul`, or a tensor a deploy writes
 # or scans. Below it, the work takes less time than handing it to a thread.
 SPLIT_MIN_ELEMENTS = 1 << 16
+# A product with a float64 right operand and at least this many multiply-adds
+# (rows × k × n) is shared between two cores. With one BLAS thread on a
+# 2-vCPU host, each product timed after other work so that the helper starts
+# idle, the split took 64×512×512 (2²⁴) from 0.61 to 0.55 ms and 32×512×512
+# (2²³) from 0.36 to 0.36 ms, and 16×512×512 (2²²) from 0.27 to 0.28 ms.
+SPLIT_MIN_MACS = 1 << 23
 
 
 def usable_cpus():
@@ -468,6 +482,44 @@ class PanelMatrix:
         return m if dtype is None else m.astype(dtype, copy=False)
 
 
+class ColumnConcat:
+    """[B_1 | B_2 | …]: matrices of one row count side by side, none of them copied.
+
+    Each part is a 2-D float32 or float64 ndarray or a `PanelMatrix`; any
+    other part is coerced by `as_matrix`. `shape` and `np.shape` read the
+    logical (k, n_1 + n_2 + …), and `np.asarray` gives the logical matrix as
+    a copy. `matmul` multiplies each part into its own output columns.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, *parts):
+        parts = tuple(p if type(p) is PanelMatrix else _matmul_operand(p) for p in parts)
+        if not parts or len({p.shape[0] for p in parts}) != 1:
+            raise InvalidDimensionError(
+                f"cannot concatenate columns of shapes {[p.shape for p in parts]}"
+            )
+        self.parts = parts
+
+    @property
+    def shape(self):
+        return (self.parts[0].shape[0], sum(p.shape[1] for p in self.parts))
+
+    @property
+    def dtype(self):
+        return np.result_type(*(p.dtype for p in self.parts))
+
+    @property
+    def size(self):
+        return sum(p.size for p in self.parts)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a column concatenation has no logical view without a copy")
+        m = np.concatenate([np.asarray(p) for p in self.parts], axis=1)
+        return m if dtype is None else m.astype(dtype, copy=False)
+
+
 def _matmul_operand(x):
     """A 2-D float32 or float64 ndarray as it is; anything else through as_matrix."""
     if type(x) is np.ndarray and x.ndim == 2 and x.dtype.char in "fd":
@@ -475,57 +527,83 @@ def _matmul_operand(x):
     return as_matrix(x)
 
 
-def _column_panels(b):
-    """(output columns, float32 source) pairs that `matmul` widens one at a time; None for none.
+def _worth_splitting(m, b):
+    """Whether a product of m rows by `b` gains from sharing its panels between two cores.
 
-    A PanelMatrix gives its panels. A row-major float32 `b` of at least
-    SPLIT_MIN_ELEMENTS elements gives two strided column halves, cut at the
-    multiple of 64 columns nearest its middle, when there are two CPUs to
-    share them. A float64 `b` (a widened weight matrix, the K′/V′ cache) has
-    no cast to share.
+    A float32 `b` is cast once per product, and that cast is what two cores
+    share: it splits at SPLIT_MIN_ELEMENTS elements, for one row too. A
+    float64 `b` is not cast: its product splits at SPLIT_MIN_MACS
+    multiply-adds, and a one-row product, bound by reading `b` once, not at
+    all. Nothing splits on a process allowed one CPU, which is asked last:
+    most products are too small, and every call pays for the question.
     """
-    if type(b) is PanelMatrix:
-        cb = b.panels.shape[2]
-        return [(slice(p * cb, (p + 1) * cb), panel) for p, panel in enumerate(b.panels)]
-    if b.dtype != DTYPE or b.size < SPLIT_MIN_ELEMENTS or usable_cpus() < 2:
-        return None
-    n = b.shape[1]
-    cut = (n + 64) // 128 * 64
-    if not 0 < cut < n:
-        return None
-    return [(slice(0, cut), b[:, :cut]), (slice(cut, n), b[:, cut:])]
+    if b.dtype.char == "f":
+        large = b.size >= SPLIT_MIN_ELEMENTS
+    else:
+        large = m > 1 and m * b.size >= SPLIT_MIN_MACS
+    return large and usable_cpus() >= 2
+
+
+def _column_panels(m, b):
+    """(output columns, source) pairs that `matmul` multiplies one at a time; None for none.
+
+    A row-major `b` whose product of m rows is worth splitting
+    (`_worth_splitting`) gives two strided column halves, cut at the
+    multiple of 64 columns nearest its middle. A ColumnConcat gives each
+    part's pairs, or the part whole, in turn, and a PanelMatrix its panels.
+    """
+    if type(b) is np.ndarray:
+        if not _worth_splitting(m, b):
+            return None
+        n = b.shape[1]
+        cut = (n + 64) // 128 * 64
+        return [(slice(0, cut), b[:, :cut]), (slice(cut, n), b[:, cut:])] if 0 < cut < n else None
+    if type(b) is ColumnConcat:
+        out, start = [], 0
+        for part in b.parts:
+            n = part.shape[1]
+            own = _column_panels(m, part) or [(slice(0, n), part)]
+            out += [(slice(start + c.start, start + c.stop), src) for c, src in own]
+            start += n
+        return out
+    cb = b.panels.shape[2]
+    return [(slice(p * cb, (p + 1) * cb), panel) for p, panel in enumerate(b.panels)]
 
 
 def _split_matmul(a, b, panels):
-    """float64 `a` times float32 `b`, one column panel at a time, on two cores.
+    """float64 `a` times `b`, one column panel at a time, on two cores.
 
     The caller takes the first half of `panels` and the helper thread the
-    rest, when `b` has at least SPLIT_MIN_ELEMENTS elements and there are two
-    CPUs; otherwise the caller takes them all. Each output column is the same
-    k-ordered dot product as in the unsplit product, so the bytes are the
-    same. Each side widens its panels in turn into one float64 buffer,
-    multiplies into a float64 buffer of its own and rounds that into its
-    columns of `out`; this thread allocates every buffer. The panels of one
-    side are all of one width.
+    rest, when `_worth_splitting` says so; otherwise the caller takes them
+    all. Each output column is the same k-ordered dot product as in the
+    unsplit product, so the bytes are the same. Each side widens each
+    float32 panel into a float64 buffer (a float64 panel is multiplied as
+    it is), multiplies into a float64 buffer of its own and rounds that into
+    the panel's columns of `out`; this thread allocates every buffer, one of
+    each kind per panel width on that side.
     """
     m, k = a.shape
     out = np.empty((m, b.shape[1]), DTYPE)
 
     def side(part):
-        cols = part[0][0]
-        width = cols.stop - cols.start
-        b64, prod = np.empty((k, width)), np.empty((m, width))
+        widths = {c.stop - c.start for c, _ in part}
+        casts = {c.stop - c.start for c, src in part if src.dtype != np.float64}
+        b64 = {w: np.empty((k, w)) for w in casts}
+        prod = {w: np.empty((m, w)) for w in widths}
 
         def product():
-            for cols, panel in part:
-                np.copyto(b64, panel)
-                np.matmul(a, b64, out=prod)
-                out[:, cols] = prod
+            for cols, src in part:
+                w = cols.stop - cols.start
+                if src.dtype != np.float64:
+                    np.copyto(b64[w], src)
+                    src = b64[w]
+                np.matmul(a, src, out=prod[w])
+                out[:, cols] = prod[w]
 
         return product
 
     half = (len(panels) + 1) // 2
-    if half == len(panels) or b.size < SPLIT_MIN_ELEMENTS or usable_cpus() < 2:
+    if half == len(panels) or not _worth_splitting(m, b):
         side(panels)()
     else:
         _two_halves(side(panels[:half]), side(panels[half:]))
@@ -542,18 +620,22 @@ def matmul(a, b):
     P2's widened weight matrices skip the cast on every call. The same values
     given as float32 or as float64 give the same bytes.
 
-    `b` may also be a PanelMatrix, such as an MoE expert as P2 holds it. Its
-    panels, or the two column halves of a large row-major float32 `b`, are
-    widened one at a time and dealt between two cores (`_column_panels`,
-    `_split_matmul`), with the same bytes as the unsplit product.
+    `b` may also be a PanelMatrix, such as an MoE expert as P2 holds it, or
+    a ColumnConcat, such as a SwiGLU FFN's [W_1 | W_3]. Its panels or parts,
+    or the two column halves of a large row-major `b`, are multiplied one at
+    a time and dealt between two cores (`_column_panels`, `_split_matmul`):
+    a float32 `b` of at least SPLIT_MIN_ELEMENTS elements, a float64 one in
+    a product of more than one row and at least SPLIT_MIN_MACS
+    multiply-adds. Every split gives the bytes of the unsplit product.
     """
     a = _matmul_operand(a)
-    if type(b) is not PanelMatrix:
+    if type(b) not in (PanelMatrix, ColumnConcat):
         b = _matmul_operand(b)
-    if a.shape[1] != b.shape[0]:
+    m, k = a.shape
+    if k != b.shape[0]:
         raise InvalidDimensionError(f"matmul shapes {a.shape} x {b.shape}")
     a = a.astype(np.float64, copy=False)
-    panels = _column_panels(b)
+    panels = _column_panels(m, b)
     if panels:
         return _split_matmul(a, b, panels)
     return np.matmul(a, b.astype(np.float64, copy=False)).astype(DTYPE)
@@ -631,8 +713,20 @@ def sigmoid(x):
     each branch on its own subset (a boolean gather and scatter), for every
     float32 input, ±0, ±inf and NaN included. The masked gather and scatter
     cost about three times the arithmetic on a SwiGLU gate, so there is none.
+
+    The branch is chosen per element by a bitwise select on the uint32 views
+    of the two candidates, q ^ ((p ^ q) & mask) with mask all ones where
+    x ≥ 0: the bits of 1/d there and of e/d elsewhere, NaN inputs included.
+    On a 64×1024 gate it takes 0.07 ms where np.where took 0.36 ms.
     """
     x = as_matrix(x)
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    p = np.divide(1.0, d).view(np.uint32)
+    q = np.divide(e, d, out=e).view(np.uint32)
+    mask = (x >= 0).astype(np.uint32)
+    np.negative(mask, out=mask)
+    np.bitwise_xor(p, q, out=p)
+    np.bitwise_and(p, mask, out=p)
+    np.bitwise_xor(q, p, out=q)
+    return e

@@ -22,11 +22,13 @@ straight into its slot in the DEPLOY_MODEL container
 gathers fill on two cores, and P2 serves θ′ from read-only views into the
 payload it received: it keeps no second copy. P2's sentinel scan of the
 payload (`container.decode_model`) splits over two cores the same way, on
-the helper thread that also takes half of each float32 expert product
+the helper thread that also takes half of each large product
 (`numerics.matmul`). P1 writes each MoE expert matrix as contiguous column
 panels, so P2 serves it as a `numerics.PanelMatrix` view and widens one
 L2-sized panel at a time; every output bit is the one a row-major expert
-gives.
+gives. A SwiGLU expert's W′_1 and W′_3 make one product
+(`model.ffn_forward`): W′_1's panels then W′_3's, views into the payload,
+split over the two cores.
 
 P2 keeps θ′ and its epoch, which names one key set: a deploy must advance
 it, and a REKEY notice that retires it drops θ′, and with it the payload.
@@ -35,11 +37,16 @@ W′_k, W′_v and W′_o of every layer, a dense layer's W′_1/W′_2/W′_3, 
 W′_c) to float64 copies in place, and copies its norm vectors as float32.
 The engine computes its products in float64, so a one-row step no longer
 casts each of these on every call, and every output bit stays the same. A
-dense θ′ then holds no view into the payload, which is freed; MoE experts
-and W′_g stay float32 views into it. The container stays float32, and
-`state_bytes()` returns it as bytes, expert panels as they came.
+prefill's products with these float64 matrices split over the two cores
+once they are large enough (`numerics.SPLIT_MIN_MACS`); a one-row step's
+never do. A dense θ′ then holds no view into the payload, which is freed;
+MoE experts and W′_g stay float32 views into it. The container stays
+float32, and `state_bytes()` returns it as bytes, expert panels as they
+came.
 
-A request may reach at most `transport.MAX_ROWS` rows of a sequence.
+A request may reach at most `transport.MAX_ROWS` rows of a sequence. P3
+refuses, before it sends anything, a generation that would pass that cap
+(`check_generation`), so protocol tokens and local decoding never part.
 
 P2 serves each link in one party's role: P1's link may deploy and re-key,
 P3's link may only ask for inference.
@@ -379,6 +386,22 @@ class ServerParty:
         return bytes(container.encode_model(self.model))
 
 
+def check_generation(prompt_len, max_tokens):
+    """Refuse a generation that P2 would cut short, before anything is sent.
+
+    The last request of a generation reaches row prompt_len + max_tokens − 1
+    of its sequence, which must stay within `transport.MAX_ROWS`; an empty
+    prompt gives P2 no row to start from. Either raises InvalidDimensionError.
+    """
+    if prompt_len < 1:
+        raise InvalidDimensionError("a generation needs at least one prompt token")
+    if prompt_len + max_tokens - 1 > MAX_ROWS:
+        raise InvalidDimensionError(
+            f"{prompt_len} prompt tokens and {max_tokens} new ones reach row "
+            f"{prompt_len + max_tokens - 1}, past the {MAX_ROWS}-row cap"
+        )
+
+
 class DataOwnerParty:
     """P3: on-device embedding, column permutation, and output recovery."""
 
@@ -464,12 +487,15 @@ class DataOwnerParty:
 
         The first round sends the whole prompt; each later round sends only
         the last token, continuing the rows P2 holds for this link. Every
-        round asks for a TOP1 reply. A transport fault, a server Error frame
-        or a malformed reply raises AbortedGenerationError carrying the tokens
-        generated so far.
+        round asks for a TOP1 reply. An empty prompt, or one that with
+        max_tokens would pass `transport.MAX_ROWS` rows, raises
+        InvalidDimensionError before any frame is sent (`check_generation`).
+        A transport fault, a server Error frame or a malformed reply raises
+        AbortedGenerationError carrying the tokens generated so far.
         """
         top1 = wire.ReplyMode.TOP1
         ids = [int(t) for t in prompt_ids]
+        check_generation(len(ids), max_tokens)
         out = []
         for _ in range(max_tokens):
             if out:

@@ -60,11 +60,12 @@ def overflowing_container(cfg):
 
 
 @contextmanager
-def two_cores(min_elements, cpus=2):
+def two_cores(min_elements, cpus=2, min_macs=None):
     """Split work of at least `min_elements` elements as on a host of `cpus` CPUs.
 
-    With `cpus` None the host's own CPU count stands. Yields the list of
-    halves handed to the helper thread meanwhile.
+    With `cpus` None the host's own CPU count stands. `min_macs`, when
+    given, replaces the multiply-adds at which a float64 product splits.
+    Yields the list of halves handed to the helper thread meanwhile.
     """
     handed = []
     offer = numerics._Helper.offer
@@ -77,6 +78,8 @@ def two_cores(min_elements, cpus=2):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "SPLIT_MIN_ELEMENTS", min_elements)
+        if min_macs is not None:
+            mp.setattr(numerics, "SPLIT_MIN_MACS", min_macs)
         if cpus is not None:
             mp.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         mp.setattr(numerics._Helper, "offer", recorded)

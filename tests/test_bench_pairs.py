@@ -78,6 +78,53 @@ def test_summary_spread_rule_reads_the_parents_quartiles_not_the_changes():
     assert m["beyond_parent_iqr"] is True
 
 
+def test_within_bound_compares_the_change_median_with_the_bound_on_the_parents():
+    bounds = {"ttft_ms.p50": 0.25, "tokens_per_s": 0.25}
+    parent = [100.0, 104.0, 96.0, 102.0, 98.0]  # median 100
+    slower = bench_pairs.summarize(
+        _runs(parent, [124.0, 126.0, 125.0, 123.0, 127.0], "ttft_ms.p50"),
+        {"ttft_ms.p50": "lower"}, bounds)["metrics"]["ttft_ms.p50"]
+    assert slower["bound"] == 0.25 and slower["change"]["median"] == 125.0
+    assert slower["within_bound"] is True  # 25% worse is at the bound, not past it
+    too_slow = bench_pairs.summarize(
+        _runs(parent, [126.0, 127.0, 128.0, 129.0, 130.0], "ttft_ms.p50"),
+        {"ttft_ms.p50": "lower"}, bounds)["metrics"]["ttft_ms.p50"]
+    assert too_slow["within_bound"] is False
+    # higher is better: a median of 74 falls more than 25% below 100
+    fewer = bench_pairs.summarize(
+        _runs(parent, [74.0, 73.0, 75.0, 72.0, 76.0], "tokens_per_s"),
+        {"tokens_per_s": "higher"}, bounds)["metrics"]["tokens_per_s"]
+    assert fewer["within_bound"] is False
+    more = bench_pairs.summarize(
+        _runs(parent, [174.0, 173.0, 175.0, 172.0, 176.0], "tokens_per_s"),
+        {"tokens_per_s": "higher"}, bounds)["metrics"]["tokens_per_s"]
+    assert more["within_bound"] is True
+
+
+def test_unresolved_says_the_parents_spread_is_wider_than_the_bound():
+    bounds = {"setup_s": 0.25}
+    # parent IQR 20 on a median of 100: within a 0.25 bound
+    calm = bench_pairs.summarize(
+        _runs([80.0, 90.0, 100.0, 110.0, 120.0], [100.0] * 5, "setup_s"),
+        {"setup_s": "lower"}, bounds)["metrics"]["setup_s"]
+    assert calm["parent"]["iqr"] == 20.0 and calm["unresolved"] is False
+    # parent IQR 30 on a median of 100: wider than the bound
+    wide = bench_pairs.summarize(
+        _runs([70.0, 85.0, 100.0, 115.0, 130.0], [100.0] * 5, "setup_s"),
+        {"setup_s": "lower"}, bounds)["metrics"]["setup_s"]
+    assert wide["parent"]["iqr"] == 30.0 and wide["unresolved"] is True
+    # a metric with no bound, such as a per-layer one or wall_s, gets neither
+    s = bench_pairs.summarize(_runs([1.0], [1.0], "model.ffn_s"), {}, bounds)
+    for name in ("model.ffn_s", "wall_s"):
+        assert not {"bound", "within_bound", "unresolved"} & set(s["metrics"][name])
+
+
+def test_metric_bounds_reads_the_end_to_end_bounds_of_the_benchmark():
+    bounds = bench_pairs.metric_bounds(_PATH.parent.parent)
+    assert bounds["ttft_ms.p50"] == 0.25 and bounds["wire_bytes_per_token"] == 0.01
+    assert "model.ffn_s" not in bounds
+
+
 def _fake_runs(monkeypatch, calls):
     """`run_once` reads tokens_per_s 40 on the parent and 50 on the change."""
 
@@ -90,6 +137,7 @@ def _fake_runs(monkeypatch, calls):
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs, "metric_directions",
                         lambda checkout: {"tokens_per_s": "higher"})
+    monkeypatch.setattr(bench_pairs, "metric_bounds", lambda checkout: {"tokens_per_s": 0.25})
 
 
 def _main(*extra):
@@ -113,6 +161,7 @@ def test_a_second_call_with_the_same_command_appends_its_pairs(monkeypatch, tmp_
         "parent", "change", "parent", "change", "parent"]
     assert section["summary"]["pairs"] == 5
     assert section["summary"]["metrics"]["tokens_per_s"]["change_wins"] == "5/5"
+    assert section["summary"]["metrics"]["tokens_per_s"]["within_bound"] is True
     assert len(calls) == 10
 
 

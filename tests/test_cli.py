@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from conftest import make_config, overflowing_container
+import stip.protocol
 from stip import cli
 from stip.container import (
     encode_model,
@@ -320,6 +321,20 @@ def test_simulate_custom_mask_model_is_protocol_error(tmp_path, capsys):
         capsys, ["simulate", "--mask-kind", "custom", "--tokens", "2"]
     )
     assert code == 4 and "protocol error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["bench", "--what", "e2e"], ["bench", "--what", "all"]],
+    ids=["simulate", "bench-e2e", "bench-all"],
+)
+def test_a_generation_past_the_row_cap_is_refused_up_front(argv, capsys, monkeypatch):
+    monkeypatch.setattr(stip.protocol, "MAX_ROWS", 6)
+    ran = []
+    monkeypatch.setattr(cli, "gen_model", lambda *a: ran.append(a))
+    code, report, err = run_cli(capsys, [*argv, "--prompt", "0,1,2,3", "--tokens", "4"])
+    assert code == 2 and report is None and "past the 6-row cap" in err
+    assert not ran  # refused before any model was made
 
 
 def test_simulate_bad_prompt_is_usage_error(capsys):

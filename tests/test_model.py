@@ -235,6 +235,26 @@ def test_ffn_swiglu_requires_w3():
         ffn_forward(randm((2, 3), 27), w, FfnKind.SWIGLU)
 
 
+def test_ffn_swiglu_makes_w1_and_w3_one_product_with_the_bytes_of_two(monkeypatch):
+    w = FfnWeights(w1=randm((6, 70), 28), w2=randm((70, 6), 29), w3=randm((6, 70), 30))
+    v = randm((5, 6), 31, scale=3.0)
+    a, u = matmul_cast_oracle(v, w.w1), matmul_cast_oracle(v, w.w3)
+    want = matmul_cast_oracle(a * sigmoid_scatter_oracle(a) * u, w.w2)
+    shapes = []
+    matmul = stip.model.matmul
+
+    def counted(x, b):
+        shapes.append(np.shape(b))
+        return matmul(x, b)
+
+    monkeypatch.setattr(stip.model, "matmul", counted)
+    assert ffn_forward(v, w, FfnKind.SWIGLU).tobytes() == want.tobytes()
+    assert shapes == [(6, 140), (70, 6)]
+    w.w3 = randm((6, 64), 32)
+    with pytest.raises(InvalidDimensionError):
+        ffn_forward(v, w, FfnKind.SWIGLU)
+
+
 def test_ffn_gelu_matches_composed_ops():
     from stip.numerics import gelu
 
@@ -561,6 +581,16 @@ def test_greedy_generate_length_and_determinism():
     a = greedy_generate(params, [0, 1, 2], 5)
     b = greedy_generate(params, [0, 1, 2], 5)
     assert len(a) == 5 and a == b
+
+
+def test_zero_input_rows_are_an_invalid_dimension():
+    params = gen_model(make_config(), 59)
+    empty = np.zeros((0, params.config.d_model), dtype=F32)
+    with pytest.raises(InvalidDimensionError):
+        model_forward(empty, params, make_mask(MaskKind.CAUSAL))
+    with pytest.raises(InvalidDimensionError):
+        greedy_generate(params, [], 3)
+    assert greedy_generate(params, [], 0) == []
 
 
 def test_greedy_generate_rejects_custom_mask_config():

@@ -25,6 +25,7 @@ from stip import numerics
 from stip.errors import DegenerateRowError, InvalidDimensionError
 from stip.numerics import (
     F32_MIN,
+    ColumnConcat,
     Gather,
     PanelMatrix,
     Permutation,
@@ -256,15 +257,52 @@ def test_a_split_product_has_the_bytes_of_an_unsplit_one(n, k, m, seed):
     assert out.tobytes() == matmul_cast_oracle(a, b).tobytes()
 
 
-def test_a_float64_operand_is_never_handed_to_the_helper():
+def test_a_one_row_or_below_threshold_float64_product_is_not_handed_to_the_helper():
     a = randm((4, 96), seed=40)
     b = randm((96, 200), seed=41)
+    assert 4 * 96 * 200 < numerics.SPLIT_MIN_MACS
     with two_cores(0) as handed:
         for rhs in (b.astype(np.float64), b.astype(np.float64).T.copy().T):
             assert matmul(a, rhs).tobytes() == matmul_cast_oracle(a, b).tobytes()
         assert not handed
         matmul(a, b)  # the float32 form of the same operand is split
     assert len(handed) == 1
+    # a one-row product stays whole at any size
+    with two_cores(0, min_macs=0) as one_row:
+        out = matmul(a[:1], b.astype(np.float64))
+    assert not one_row
+    assert out.tobytes() == matmul_cast_oracle(a[:1], b).tobytes()
+
+
+def test_the_float64_threshold_splits_moe_prefills_products_and_no_smaller_ones():
+    # moe-prefill's 64-row products with d = 512 split; rekey-churn's 8-row
+    # prefill with d = 256, d_ff = 1024 and every one-row step do not
+    assert 64 * 512 * 512 >= numerics.SPLIT_MIN_MACS > 8 * 256 * 1024
+    a = randm((64, 512), seed=38)
+    b = randm((512, 512), seed=39).astype(np.float64)
+    with two_cores(numerics.SPLIT_MIN_ELEMENTS, min_macs=numerics.SPLIT_MIN_MACS) as handed:
+        assert matmul(a, b).tobytes() == matmul_cast_oracle(a, b).tobytes()
+        assert len(handed) == 1
+        matmul(a[:8, :256], randm((256, 1024), seed=37).astype(np.float64))
+        matmul(a[:1], b)
+    assert len(handed) == 1 and helper_idle(handed)
+
+
+@given(
+    n=st.sampled_from([2, 3, 63, 64]),
+    k=st.integers(0, 40).map(lambda i: 2 * i + 1),
+    m=st.integers(32, 160).map(lambda i: 2 * i + 1),
+    layout=st.sampled_from(["C", "F"]),
+    seed=st.integers(0, 2**16),
+)
+def test_a_split_float64_product_has_the_bytes_of_an_unsplit_one(n, k, m, layout, seed):
+    a = randm((n, k), seed=seed, scale=3.0)
+    b = randm((k, m), seed=seed + 1, scale=3.0)
+    b64 = np.asarray(b, dtype=np.float64, order=layout)
+    with two_cores(numerics.SPLIT_MIN_ELEMENTS, min_macs=0) as handed:
+        out = matmul(a, b64)
+    assert len(handed) == 1 and helper_idle(handed)
+    assert out.tobytes() == matmul_cast_oracle(a, b).tobytes()
 
 
 def test_a_product_below_the_threshold_or_too_narrow_to_cut_is_not_split():
@@ -488,6 +526,56 @@ def test_a_panel_matrix_multiplies_in_its_logical_shape():
     # as a left operand it is read as its logical matrix
     b = randm((128, 3), seed=95)
     assert matmul(pm, b).tobytes() == matmul_cast_oracle(np.asarray(pm), b).tobytes()
+
+
+# --- column concatenation ---------------------------------------------------
+
+
+def test_a_column_concat_reads_as_its_logical_matrix_and_copies_no_part():
+    w1, w3 = randm((5, 192), seed=100), randm((5, 64), seed=101)
+    cc = ColumnConcat(w1, w3)
+    assert cc.shape == np.shape(cc) == (5, 256)
+    assert (cc.dtype, cc.size) == (np.dtype(F32), w1.size + w3.size)
+    assert cc.parts[0] is w1 and cc.parts[1] is w3
+    assert np.asarray(cc).tobytes() == np.hstack([w1, w3]).tobytes()
+    with pytest.raises(ValueError):
+        np.asarray(cc, copy=False)
+    with pytest.raises(InvalidDimensionError):
+        ColumnConcat(w1, randm((4, 64), seed=102))
+    with pytest.raises(InvalidDimensionError):
+        matmul(randm((2, 4), seed=103), cc)
+
+
+@given(
+    rows=st.sampled_from([1, 2, 63, 64]),
+    k=st.integers(1, 40),
+    cb=st.sampled_from([64, 128]),
+    panels=st.integers(2, 3),
+    layout=st.sampled_from(["float32", "float64", "panels"]),
+    seed=st.integers(0, 2**16),
+)
+def test_a_fused_w1_w3_product_has_the_bytes_of_the_oracle(
+    rows, k, cb, panels, layout, seed
+):
+    a = randm((rows, k), seed=seed, scale=3.0)
+    w1 = randm((k, panels * cb), seed=seed + 1, scale=3.0)
+    w3 = randm((k, panels * cb), seed=seed + 2, scale=3.0)
+    want = matmul_cast_oracle(a, np.hstack([w1, w3])).tobytes()
+    if layout == "float64":
+        parts = (w1.astype(np.float64), w3.astype(np.float64))
+    elif layout == "panels":
+        parts = (panel_matrix(w1, cb), panel_matrix(w3, cb))
+    else:
+        parts = (w1, w3)
+    with two_cores(0, min_macs=0) as handed:
+        out = matmul(a, ColumnConcat(*parts))
+    assert out.tobytes() == want
+    # W_1's columns on this thread, W_3's on the helper, unless a float64 one-row product
+    assert len(handed) == (0 if layout == "float64" and rows == 1 else 1)
+    assert helper_idle(handed)
+    with two_cores(0, cpus=1) as alone:
+        assert matmul(a, ColumnConcat(*parts)).tobytes() == want
+    assert not alone
 
 
 @pytest.mark.parametrize("sides", ["both", "rows", "cols"])

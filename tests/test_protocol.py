@@ -49,7 +49,7 @@ from stip.model import (
     make_mask,
     model_forward,
 )
-from stip.numerics import PanelMatrix, apply_col_perm
+from stip.numerics import ColumnConcat, PanelMatrix, apply_col_perm
 from stip.protocol import (
     DataOwnerParty,
     DeveloperParty,
@@ -843,8 +843,9 @@ def _count_split_products(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["inproc", "socket"])
 def test_split_expert_products_keep_local_greedy_tokens(kind, monkeypatch):
-    # with no size threshold, P2 splits every float32 product: the expert
-    # products; the widened dense θ′ and the K′/V′ cache are float64
+    # with no size threshold, P2 splits every float32 product: each expert's
+    # fused [W_1 | W_3] and its W_2; the widened dense θ′ and the K′/V′ cache
+    # are float64, and their products are below SPLIT_MIN_MACS
     params = _moe_params_with_splittable_experts(59)
     prompts = [[0, 1], [5, 3, 2]]
     local = [greedy_generate(params, p, 4) for p in prompts]
@@ -854,7 +855,7 @@ def test_split_expert_products_keep_local_greedy_tokens(kind, monkeypatch):
             params, prompts, 4, transport_kind=kind, seed=60, rekey_between=True
         )
     assert streams == local
-    assert set(split) == {(72, 136), (136, 72)}
+    assert set(split) == {(72, 2 * 136), (136, 72)}
     assert handed and helper_idle(handed)
 
 
@@ -1047,8 +1048,13 @@ def test_panelled_experts_keep_local_greedy_tokens(kind, monkeypatch):
     split = numerics._split_matmul
 
     def counted(a, b, panels):
-        if type(b) is PanelMatrix:
-            panelled.append((b.shape, len(panels)))
+        if type(b) is ColumnConcat:
+            # W′_1's panels then W′_3's, each a view into its PanelMatrix
+            sources = [pm.panels[i] for pm in b.parts for i in range(len(pm.panels))]
+            assert all(type(pm) is PanelMatrix for pm in b.parts)
+            assert [src.ctypes.data for _, src in panels] == [w.ctypes.data for w in sources]
+        if type(b) in (PanelMatrix, ColumnConcat):
+            panelled.append((type(b), b.shape, len(panels)))
         return split(a, b, panels)
 
     monkeypatch.setattr(numerics, "_split_matmul", counted)
@@ -1057,7 +1063,8 @@ def test_panelled_experts_keep_local_greedy_tokens(kind, monkeypatch):
             params, prompts, 4, transport_kind=kind, seed=151, rekey_between=True
         )
     assert streams == local
-    assert set(panelled) == {((128, 256), 2), ((256, 128), 2)}
+    # each expert makes two products: the fused [W′_1 | W′_3] of 2 + 2 panels, and W′_2
+    assert set(panelled) == {(ColumnConcat, (128, 512), 4), (PanelMatrix, (256, 128), 2)}
     assert handed and helper_idle(handed)
 
 
@@ -1136,7 +1143,9 @@ def test_a_tracer_reads_logical_shapes_and_the_row_major_flop_count():
     panels = traced_serve(numerics.PANEL_BYTES)
     row_major = traced_serve(0)  # no expert has panels, as before the panel layout
     assert (panels[2], row_major[2]) == ({PanelMatrix}, {np.ndarray})
-    assert ((128, 256), 2 * 3 * 128 * 256) in {(sb, flop) for _, sb, flop in panels[0]}
+    # an expert's W_1 and W_3 are one product of logical shape (k, 2m)
+    expert_calls = {(sb, flop) for _, sb, flop in panels[0] if sb in {(128, 512), (128, 256)}}
+    assert expert_calls == {((128, 512), 2 * 3 * 128 * 512), ((128, 512), 2 * 1 * 128 * 512)}
     assert panels[:2] == row_major[:2]
 
 
@@ -1146,6 +1155,88 @@ def _benchmark_workloads():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return workloads.WORKLOADS.values()
+
+
+@pytest.mark.parametrize("kind", ["inproc", "socket"])
+def test_p3_refuses_a_generation_the_row_cap_would_cut_short_before_sending(
+    kind, monkeypatch
+):
+    monkeypatch.setattr(stip.protocol, "MAX_ROWS", 6)
+    params = desk_params(166)
+    p1 = DeveloperParty(params, session_seed=167)
+    p2 = ServerParty()
+    p3 = DataOwnerParty(params.embedding, session_seed=168)
+    transcript = Transcript()
+    prompt = [1, 2, 3, 4]
+    hub = _ServerHost(p2, kind, 0.0, 5.0)
+    try:
+        stip.protocol.deploy(hub.p1_link, p3, *p1.initialize(169))
+        # the 4th new token would need a request reaching row 7
+        for ids, tokens in ((prompt, 4), (list(range(7)), 1), ([], 1)):
+            with pytest.raises(InvalidDimensionError):
+                p3.generate(ids, tokens, hub.p3_link, transcript, timeout=5.0)
+        assert transcript.entries == []
+        with pytest.raises(InvalidDimensionError):
+            greedy_generate(params, [], 1)  # local decoding refuses it too
+        # the longest generation within the cap matches local decoding
+        local = greedy_generate(params, prompt, 3)
+        assert p3.generate(prompt, 3, hub.p3_link, transcript, timeout=5.0) == local
+        assert transcript.inference_count() == 2 * 3
+    finally:
+        hub.shutdown()
+    assert not any(t.is_alive() for t in hub._threads)
+
+
+@pytest.mark.parametrize("kind", ["inproc", "socket"])
+def test_a_request_of_zero_rows_is_malformed(kind):
+    params = desk_params(170)
+    p1 = DeveloperParty(params, session_seed=171)
+    p2 = ServerParty()
+    p3 = DataOwnerParty(params.embedding, session_seed=172)
+    hub = _ServerHost(p2, kind, 0.0, 5.0)
+    try:
+        stip.protocol.deploy(hub.p1_link, p3, *p1.initialize(173))
+        empty = np.zeros((0, params.config.d_model), dtype=F32)
+        req = wire.make_infer_request(empty, p3.epoch, p3.session_id, 0, wire.ReplyMode.TOP1)
+        assert _refused(_ask(hub.p3_link, req), wire.ErrorCode.MALFORMED)
+        assert p3.generate([1, 2], 2, hub.p3_link, timeout=5.0) == greedy_generate(
+            params, [1, 2], 2
+        )
+    finally:
+        hub.shutdown()
+    assert not any(t.is_alive() for t in hub._threads)
+
+
+@pytest.mark.parametrize("kind", ["inproc", "socket"])
+@pytest.mark.parametrize("ffn", ["dense", "moe-panels"])
+def test_split_float64_and_fused_swiglu_products_keep_local_greedy_tokens(
+    ffn, kind, monkeypatch
+):
+    # with no MAC threshold every float64 product of more than one row splits:
+    # the widened dense θ′, a dense FFN's fused [W′_1 | W′_3] and the K′/V′ cache
+    if ffn == "dense":
+        params = desk_params(174, d_model=128, d_ff=256, **VARIANT_CONFIGS["rms_swiglu"])
+    else:
+        params = _moe_params_with_panelled_experts(174)
+    prompts = [[0, 1], [5, 3, 2]]
+    local = [greedy_generate(params, p, 4) for p in prompts]
+    fused = []
+    split = numerics._split_matmul
+
+    def counted(a, b, panels):
+        if type(b) is ColumnConcat:
+            fused.append((b.dtype, b.shape))
+        return split(a, b, panels)
+
+    monkeypatch.setattr(numerics, "_split_matmul", counted)
+    with two_cores(numerics.SPLIT_MIN_ELEMENTS, min_macs=0) as handed:
+        streams, _ = run_simulation(
+            params, prompts, 4, transport_kind=kind, seed=175, rekey_between=True
+        )
+    assert streams == local
+    dtype = np.float64 if ffn == "dense" else F32
+    assert set(fused) == {(np.dtype(dtype), (128, 512))}
+    assert handed and helper_idle(handed)
 
 
 def test_the_row_cap_admits_every_benchmark_sequence():

@@ -9,7 +9,9 @@ index), and the side that runs first alternates from pair to pair. The last
 stdout line of each run is its JSON result; the tool keeps every run's
 metrics, `correct`, `failed` and wall time, then per side the median and
 quartiles of each metric and the change's win count (direction from
-`BENCHMARK.json`). Results go under `workloads.<name>` (or
+`BENCHMARK.json`). For each end-to-end metric it also records whether the
+change's median stays within the metric's `bound` of the parent's, and
+whether the parent's own spread is wider than that bound. Results go under `workloads.<name>` (or
 `traced.<name>` with `--trace 1`) of `BENCH_<topic>.json` in the current
 directory; a file that already exists keeps its other workloads, so one file
 collects several calls. A call for a workload the file already holds appends
@@ -41,7 +43,7 @@ def quartiles(values):
     return q1, med, q3
 
 
-def summarize(runs, better):
+def summarize(runs, better, bounds=None):
     """Per-metric medians, quartiles and change wins over paired runs.
 
     `runs` holds dicts with `pair`, `side`, `wall_s`, `correct`, `failed` and
@@ -50,7 +52,14 @@ def summarize(runs, better):
     its runs report the metric; the change wins a pair when it is strictly
     better. `beyond_parent_iqr` says whether the medians differ by more than
     the parent's interquartile range.
+
+    `bounds` maps an end-to-end metric to the fraction by which it may
+    worsen. Such a metric also gets `within_bound`, whether the change's
+    median is worse than the parent's by at most that fraction of the
+    parent's median, and `unresolved`, whether the parent's IQR is wider
+    than that fraction of the parent's median.
     """
+    bounds = bounds or {}
     by_pair = {}
     for r in runs:
         values = dict(r.get("metrics") or {})
@@ -82,6 +91,11 @@ def summarize(runs, better):
         p_med, c_med = stats["parent"]["median"], stats["change"]["median"]
         stats["change_over_parent"] = c_med / p_med if p_med else None
         stats["beyond_parent_iqr"] = abs(c_med - p_med) > stats["parent"]["iqr"]
+        if name in bounds:
+            allowed = bounds[name] * abs(p_med)
+            stats["bound"] = bounds[name]
+            stats["within_bound"] = sign * (p_med - c_med) <= allowed
+            stats["unresolved"] = stats["parent"]["iqr"] > allowed
         out["metrics"][name] = stats
     return out
 
@@ -119,6 +133,12 @@ def metric_directions(checkout):
     spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"] for key in ("end_to_end", "per_layer")
             for m in spec.get(key, [])}
+
+
+def metric_bounds(checkout):
+    """End-to-end metric name -> the fraction by which it may worsen."""
+    spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in spec.get("end_to_end", []) if "bound" in m}
 
 
 def host():
@@ -172,7 +192,8 @@ def main(argv=None):
     section[args.workload] = {
         "command": command,
         "seeds": earlier["seeds"] + [args.seed + i for i in range(args.pairs)],
-        "summary": summarize(all_runs, metric_directions(args.change)),
+        "summary": summarize(all_runs, metric_directions(args.change),
+                             metric_bounds(args.change)),
         "runs": all_runs,
     }
     out.write_text(json.dumps(doc, indent=1) + "\n")
