@@ -68,11 +68,13 @@ def bench_traffic(n, d, s):
 
     A prefill of n rows, whatever its reply mode, then its ALL reply (n×s)
     and its TOP1 reply, which names one index; each tie at the maximum adds
-    4 bytes.
+    4 bytes. Then a one-row decode step, its row sent literally and sent as
+    a reference to an earlier row of the sequence.
     """
     overhead = wire.HEADER_SIZE + wire.MATRIX_PREFIX_SIZE
     x = np.zeros((n, d), dtype=np.float32)
     o = np.zeros((n, s), dtype=np.float32)
+    row = x[:1]
     return {
         "n": n,
         "d": d,
@@ -80,6 +82,12 @@ def bench_traffic(n, d, s):
         "frame_overhead_bytes": overhead,
         "request_bytes_computed": 4 * n * d + overhead + 8,
         "request_bytes_measured": _frame_bytes(wire.make_infer_request(x, 1, 0)),
+        "step_bytes_computed": 4 * d + overhead + 8,
+        "step_bytes_measured": _frame_bytes(wire.make_infer_request(row, 1, 0, start=n)),
+        "ref_step_bytes_computed": overhead + 8 + 4 + 8,
+        "ref_step_bytes_measured": _frame_bytes(
+            wire.make_infer_request(row, 1, 0, start=n, refs=[(n, 0)])
+        ),
         "response_bytes_computed": 4 * n * s + overhead,
         "response_bytes_measured": _frame_bytes(wire.make_infer_response(o, 1, 0)),
         "top1_response_bytes_computed": wire.HEADER_SIZE + 4 + 4,

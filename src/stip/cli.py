@@ -271,6 +271,7 @@ def cmd_simulate(rc, args):
         / tokens,
         "response_bytes_per_token": transcript.frame_bytes(wire.MsgType.INFER_RESPONSE)
         / tokens,
+        "ref_rows": sum(e["ref_rows"] or 0 for e in transcript.entries),
         "transcript_path": args.transcript or None,
     }
     _emit(rc, "simulate", results, csv_rows=[dict(results, tokens=str(results["tokens"]))])

@@ -10,7 +10,14 @@ inference traffic.
 
 Generation is incremental: P3 sends the whole prompt once (a prefill), then
 one row per generated token. P2 keeps the sequence's K′/V′ per link, so a
-decode step costs one row of wire traffic and one row of model work. Each
+decode step costs one row of wire traffic and one row of model work. Within
+an epoch a token's permuted row is the same bytes every time, so P2 already
+sees which rows of a sequence repeat; a row whose bytes equal an earlier row
+of its sequence therefore travels as a reference to that row's position, 12
+bytes in place of 4·d. P3 picks references by row bytes alone, within one
+`generate` call; P2 resolves them from the request or from the sequence's
+x′ rows it keeps beside K′/V′, and runs the model on exactly the rows an
+all-literal request carries. Each
 round asks for a TOP1 reply: P2 names the permuted indices where o′'s last
 row is largest, not the whole 1×s row. Since only that row is read, a TOP1
 round runs the last layer on the last row alone, past its K′/V′, which cover
@@ -77,6 +84,7 @@ from .errors import (
 from .model import (
     KVCache,
     MaskKind,
+    _Rows,
     embed,
     greedy_decode_step,
     make_mask,
@@ -119,16 +127,23 @@ class Transcript:
         self._lock = threading.Lock()
 
     def log(self, direction, frame):
-        """Record one frame; `dims` is the matrix shape of an INFER_REQUEST."""
-        dims = None
+        """Record one frame's metadata.
+
+        For an INFER_REQUEST, `dims` is the n×d of the rows it adds to its
+        sequence, and `ref_rows` how many of them travel by reference: a
+        count, never a position or a value. Both are None on other frames.
+        """
+        dims = ref_rows = None
         if frame.msg_type is wire.MsgType.INFER_REQUEST:
-            dims = list(wire.matrix_dims(frame.payload))
+            n, d, ref_rows = wire.request_dims(frame.payload)
+            dims = [n, d]
         entry = {
             "ts": time.time(),
             "direction": direction,
             "msg_type": frame.msg_type.name,
             "epoch": frame.epoch,
             "dims": dims,
+            "ref_rows": ref_rows,
             "bytes": wire.HEADER_SIZE + len(frame.payload),
         }
         with self._lock:
@@ -202,13 +217,36 @@ class DeveloperParty:
 class LinkCache:
     """P2's decoding state for one link: one sequence under one epoch.
 
-    It holds only values P2 computed from permuted rows it received on this
-    link (K′/V′, or the x′ rows under mask none) and their epoch; no key.
+    It holds only permuted rows P2 received on this link, values it computed
+    from them, and their epoch; no key. `kv` holds the sequence's K′/V′ (under
+    mask none, its x′ rows); `x` holds its x′ rows, which a later request may
+    name by position (`wire.resolve_rows`). Under mask none that is the
+    KVCache's own copy. The two are kept and dropped together.
     """
 
     def __init__(self):
         self.epoch = None
         self.kv = None
+        self.x = None
+
+    def begin(self, epoch, n_layers, mask_kind):
+        """Begin a new sequence at `epoch`, dropping the one held."""
+        self.epoch = epoch
+        self.kv = KVCache(n_layers)
+        self.x = self.kv.inputs if mask_kind is MaskKind.NONE else _Rows(DTYPE)
+
+    def keep(self, x):
+        """Hold a request's x′ rows, unless the KVCache keeps them itself."""
+        if self.x is not self.kv.inputs:
+            self.x.append(x)
+
+    def drop(self):
+        self.kv = None
+        self.x = None
+
+    def held(self):
+        """The x′ rows held for the sequence, as one view."""
+        return self.x._buf[: self.x.n]
 
 
 class ServerParty:
@@ -265,7 +303,12 @@ class ServerParty:
         FFN/MoE and the classifier over the last row only. A prefill (start 0)
         replaces the link's cache; a decode step (start > 0) extends it and
         must name exactly the rows the cache holds. Without a cache (a direct
-        call) only a prefill can be served, and nothing is kept.
+        call) only a prefill can be served, and nothing is kept. A row sent
+        by reference is resolved from the request or the cache's x′ rows
+        (`wire.resolve_rows`) before the forward pass, which sees the same
+        rows an all-literal request gives; a malformed reference block is
+        MALFORMED, and since a step must start at the rows held, it can name
+        no row the link does not hold.
 
         Before any deploy this raises NotInitializedError; once θ′ is
         retired, at another epoch, or for rows cached at an earlier epoch,
@@ -293,35 +336,39 @@ class ServerParty:
         cfg = model.config
         if cfg.mask_kind is MaskKind.CUSTOM:
             raise ProtocolError("custom masks cannot travel over this protocol")
-        x, start, mode = wire.decode_infer_request(frame.payload)
-        if x.shape[0] == 0 or x.shape[1] != cfg.d_model:
+        literal, start, mode, refs = wire.parse_infer_request(frame.payload)
+        n, d = literal.shape[0] + len(refs), literal.shape[1]
+        if n == 0 or d != cfg.d_model:
             raise InvalidDimensionError(
-                f"request is {x.shape[0]}x{x.shape[1]}, model needs n>=1 rows "
-                f"of width {cfg.d_model}"
+                f"request is {n}x{d}, model needs n>=1 rows of width {cfg.d_model}"
             )
-        if start + x.shape[0] > MAX_ROWS:
+        if start + n > MAX_ROWS:
             raise InvalidDimensionError(
-                f"request reaches row {start + x.shape[0]}, past the {MAX_ROWS}-row cap"
+                f"request reaches row {start + n}, past the {MAX_ROWS}-row cap"
             )
+        held = None
         if start:
             if cache is None or cache.kv is None:
                 raise ProtocolError(f"decode step at row {start} without a prefill")
             if cache.epoch != epoch:
-                cache.kv = None
+                cache.drop()
                 raise StaleEpochError(f"cached rows are from retired epoch {cache.epoch}")
             if start != cache.kv.rows:
                 raise ProtocolError(
                     f"decode step at row {start}, link holds {cache.kv.rows} rows"
                 )
+            held = cache.held()
+        x = wire.resolve_rows(literal, start, refs, held)
         with self._lock:
             if model.w_c.dtype != np.float64:
                 _widen_dense(model)
         if start == 0 and cache is not None:
-            cache.epoch = epoch
-            cache.kv = KVCache(cfg.n_layers)
+            cache.begin(epoch, cfg.n_layers, cfg.mask_kind)
         kv = None if cache is None else cache.kv
-        mask = make_mask(cfg.mask_kind, n=x.shape[0])
+        mask = make_mask(cfg.mask_kind, n=n)
         try:
+            if cache is not None:
+                cache.keep(x)
             top1 = mode == wire.ReplyMode.TOP1
             o = model_forward(x, model, mask, cache=kv, last_row=top1)
             if top1:
@@ -329,7 +376,7 @@ class ServerParty:
                 return wire.make_top1_response(top, epoch, frame.session_id)
         except BaseException:
             if cache is not None:
-                cache.kv = None
+                cache.drop()
             raise
         return wire.make_infer_response(o, epoch, frame.session_id)
 
@@ -434,17 +481,30 @@ class DataOwnerParty:
         self.epoch = epoch
         return wire.make_ack(self.epoch, frame.session_id)
 
-    def infer_request(self, token_ids, start=0, mode=wire.ReplyMode.ALL):
+    def infer_request(self, token_ids, start=0, mode=wire.ReplyMode.ALL, seen=None):
         """Embed on-device, permute columns by π, frame the request.
 
         start > 0 makes a decode step: token_ids follow the `start` rows P2
         already holds for this link. `mode` names the reply P2 sends.
+
+        A row whose bytes equal an earlier row of the request travels as a
+        reference to it (`wire.make_infer_request`). `seen` maps the bytes of
+        each row P2 already holds for the sequence to its first position; rows
+        found there travel as references too, and the request's new rows are
+        added to it. Only permuted row bytes pick a reference, never a token
+        id, so P2 learns no more than which of its rows are equal.
         """
         if self.pi is None:
             raise NotInitializedError("no shared keys deployed")
-        x = embed(token_ids, self.embedding)
+        x = apply_col_perm(embed(token_ids, self.embedding), self.pi)
+        seen = {} if seen is None else seen
+        refs = []
+        for pos, row in enumerate(x, start):
+            source = seen.setdefault(row.tobytes(), pos)
+            if source != pos:
+                refs.append((pos, source))
         return wire.make_infer_request(
-            apply_col_perm(x, self.pi), self.epoch, self.session_id, start, mode
+            x, self.epoch, self.session_id, start, mode, refs
         )
 
     def recover(self, frame, mode=wire.ReplyMode.ALL):
@@ -486,8 +546,10 @@ class DataOwnerParty:
         """Autoregressive loop: one request/response round per generated token.
 
         The first round sends the whole prompt; each later round sends only
-        the last token, continuing the rows P2 holds for this link. Every
-        round asks for a TOP1 reply. An empty prompt, or one that with
+        the last token, continuing the rows P2 holds for this link. A row
+        equal to an earlier row of this generation travels as a reference
+        (`infer_request`'s `seen`, which lives only as long as this call).
+        Every round asks for a TOP1 reply. An empty prompt, or one that with
         max_tokens would pass `transport.MAX_ROWS` rows, raises
         InvalidDimensionError before any frame is sent (`check_generation`).
         A transport fault, a server Error frame or a malformed reply raises
@@ -496,12 +558,15 @@ class DataOwnerParty:
         top1 = wire.ReplyMode.TOP1
         ids = [int(t) for t in prompt_ids]
         check_generation(len(ids), max_tokens)
+        seen = {}  # the sequence's rows P2 holds, by their bytes
         out = []
         for _ in range(max_tokens):
             if out:
-                req = self.infer_request(ids[-1:], start=len(ids) - 1, mode=top1)
+                req = self.infer_request(
+                    ids[-1:], start=len(ids) - 1, mode=top1, seen=seen
+                )
             else:
-                req = self.infer_request(ids, mode=top1)
+                req = self.infer_request(ids, mode=top1, seen=seen)
             try:
                 transport.send(req)
                 if transcript is not None:

@@ -6,7 +6,15 @@ message type; matrices travel as (rows u32, cols u32, f32 row-major).
 
 An INFER_REQUEST payload is the matrix x′, then an 8-byte trailer: u32
 `start`, the number of rows the server must already hold for this link (0 for
-a prefill), and u32 reply mode.
+a prefill), and u32 reply mode. A request of n rows covers sequence positions
+start … start + n − 1. A row whose bytes equal an earlier row of the sequence
+may travel as a reference to that row's position instead: then the matrix
+holds only the other rows, in order, and a reference block follows the
+trailer: u32 count r >= 1, then r pairs (u32 position, u32 source), positions
+ascending and inside the request, each source before its position. A source
+below `start` names a row the server already holds; any other, an earlier row
+of the request. So n = the matrix's rows + r, and a request with no reference
+has no block: its bytes are those of the all-literal encoding.
 
 The INFER_RESPONSE payload depends on the reply mode the request named:
 - ALL: the matrix o′, one softmax row per request row;
@@ -35,6 +43,8 @@ _MATRIX_PREFIX = struct.Struct("<II")
 MATRIX_PREFIX_SIZE = _MATRIX_PREFIX.size  # 8
 
 _REQUEST_TRAILER = struct.Struct("<II")
+_REF_COUNT = struct.Struct("<I")
+_REF_SIZE = 8  # one (u32 position, u32 source) pair
 _TOP1_COUNT = struct.Struct("<I")
 _ERROR_PREFIX = struct.Struct("<H")
 _REKEY_PAYLOAD = struct.Struct("<Q")
@@ -172,27 +182,117 @@ def make_deploy_keys(keys_bytes, epoch, session_id):
     return Frame(MsgType.DEPLOY_KEYS, epoch, session_id, bytes(keys_bytes))
 
 
-def make_infer_request(x, epoch, session_id, start=0, mode=ReplyMode.ALL):
-    """Rows x of a sequence; start > 0 says the server already holds `start` rows."""
-    payload = encode_matrix(x) + _REQUEST_TRAILER.pack(start, mode)
+def make_infer_request(x, epoch, session_id, start=0, mode=ReplyMode.ALL, refs=()):
+    """Rows x of a sequence; start > 0 says the server already holds `start` rows.
+
+    `refs` holds (position, source) pairs, positions ascending: x's row at
+    sequence position `position` equals the row at `source`, and travels as
+    that reference, not as its 4·d bytes. With no pair the payload is the
+    all-literal one, byte for byte.
+    """
+    if refs:
+        at = {pos - start for pos, _ in refs}
+        literal = np.asarray(x)[[i for i in range(len(x)) if i not in at]]
+        flat = [v for pair in refs for v in pair]
+        block = struct.pack(f"<I{len(flat)}I", len(refs), *flat)
+    else:
+        literal, block = x, b""
+    payload = encode_matrix(literal) + _REQUEST_TRAILER.pack(start, mode) + block
     return Frame(MsgType.INFER_REQUEST, epoch, session_id, payload)
 
 
-def decode_infer_request(raw):
-    """INFER_REQUEST payload -> (x, start, mode); the inverse of make_infer_request."""
+def request_dims(raw):
+    """(n, d, r) of an INFER_REQUEST payload: its rows, their width and how
+    many of them travel by reference, read without decoding a value."""
+    rows, cols = matrix_dims(raw)
+    end = MATRIX_PREFIX_SIZE + 4 * rows * cols + _REQUEST_TRAILER.size
+    r = _REF_COUNT.unpack_from(raw, end)[0] if len(raw) >= end + _REF_COUNT.size else 0
+    return rows + r, cols, r
+
+
+def parse_infer_request(raw):
+    """INFER_REQUEST payload -> (literal rows, start, mode, refs).
+
+    `refs` is a list of (position, source) pairs, checked against each
+    other and the request's own rows; whether the reader holds the rows
+    below `start` is for `resolve_rows` to say. Any malformed part raises
+    CodecError.
+    """
     rows, cols = matrix_dims(raw)
     end = MATRIX_PREFIX_SIZE + 4 * rows * cols
-    if len(raw) != end + _REQUEST_TRAILER.size:
+    tail = end + _REQUEST_TRAILER.size
+    if len(raw) < tail:
         raise CodecError(
             f"request payload is {len(raw)} bytes, a {rows}x{cols} request "
-            f"needs {end + _REQUEST_TRAILER.size}"
+            f"needs {tail}"
         )
     start, code = _REQUEST_TRAILER.unpack_from(raw, end)
     try:
         mode = ReplyMode(code)
     except ValueError:
         raise CodecError(f"unknown reply mode {code}") from None
-    return decode_matrix(memoryview(raw)[:end]), start, mode
+    refs = _parse_refs(memoryview(raw)[tail:], start, rows)
+    return decode_matrix(memoryview(raw)[:end]), start, mode, refs
+
+
+def _parse_refs(block, start, literal_rows):
+    """The (position, source) pairs of a request's reference block, if any."""
+    if not len(block):
+        return []
+    if len(block) < _REF_COUNT.size:
+        raise CodecError(f"reference block of {len(block)} bytes is truncated")
+    (count,) = _REF_COUNT.unpack_from(block)
+    if count == 0:
+        raise CodecError("a reference block must name at least one row")
+    size = _REF_COUNT.size + _REF_SIZE * count
+    if len(block) != size:
+        raise CodecError(
+            f"reference block is {len(block)} bytes, its count of {count} needs {size}"
+        )
+    flat = struct.unpack_from(f"<{2 * count}I", block, _REF_COUNT.size)
+    refs = list(zip(flat[0::2], flat[1::2]))
+    last = start - 1
+    for pos, source in refs:
+        if pos <= last:
+            raise CodecError("reference positions must be ascending, inside the request")
+        if source >= pos:
+            raise CodecError("a reference must name a row before its own position")
+        last = pos
+    if last >= start + literal_rows + count:
+        raise CodecError(f"reference position {last} is past the request's rows")
+    return refs
+
+
+def resolve_rows(literal, start, refs, held=None):
+    """The request's n×d rows: its literal rows in order, and at each
+    (position, source) reference a copy of the row it names, one of `held`'s
+    rows (those the reader holds, positions 0 … start − 1) or an earlier row
+    of the request. With no reference this is `literal` itself. A source that
+    `held` does not cover raises CodecError.
+    """
+    if not refs:
+        return literal
+    if min(source for _, source in refs) < start and (held is None or len(held) < start):
+        raise CodecError(f"a reference names one of {start} rows the reader does not hold")
+    x = np.empty((len(literal) + len(refs), literal.shape[1]), dtype=literal.dtype)
+    if len(literal):
+        is_ref = np.zeros(len(x), dtype=bool)
+        is_ref[[pos - start for pos, _ in refs]] = True
+        x[~is_ref] = literal
+    for pos, source in refs:
+        x[pos - start] = held[source] if source < start else x[source - start]
+    return x
+
+
+def decode_infer_request(raw):
+    """INFER_REQUEST payload -> (x, start, mode): the inverse of make_infer_request.
+
+    x is the full n×d request. A reference to a row before `start` needs the
+    rows the reader holds (`parse_infer_request`, then `resolve_rows`), and
+    raises CodecError here.
+    """
+    literal, start, mode, refs = parse_infer_request(raw)
+    return resolve_rows(literal, start, refs), start, mode
 
 
 def make_infer_response(o, epoch, session_id):

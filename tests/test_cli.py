@@ -281,10 +281,15 @@ def test_simulate_reports_wire_bytes_per_token(capsys):
     res = report["results"]
     head = 31 + 8
     d, s = 64, 100  # the default desk config
+    # a step's row travels by reference when its token came earlier in the
+    # sequence: a u32 count and a (position, source) pair instead of 4·d bytes
+    seq = [0, 1, 2] + res["tokens"]
+    r = sum(seq[i] in seq[:i] for i in range(3, 6))
+    assert res["ref_rows"] == r
     # every round asks for a TOP1 reply: each request ends in a u32 start and
     # a u32 mode, and each reply is a u32 count and one u32 index (no ties)
     assert res["request_bytes_per_token"] == (
-        head + 4 * 3 * d + 8 + 3 * (head + 4 * d + 8)
+        head + 4 * 3 * d + 8 + 3 * (head + 4 * d + 8) - r * (4 * d - 12)
     ) / 4
     assert res["response_bytes_per_token"] == 31 + 4 + 4
     # a bare prefill still gets the full reply, one row per request row
@@ -295,6 +300,29 @@ def test_simulate_reports_wire_bytes_per_token(capsys):
     p3.handle_deploy_keys(to_p3)
     reply = p2.serve(p3.infer_request([0, 1, 2]))
     assert 31 + len(reply.payload) == head + 4 * 3 * s
+
+
+def test_simulate_reports_referenced_rows_as_metadata_only(tmp_path, capsys):
+    tr = tmp_path / "transcript.jsonl"
+    code, report, _ = run_cli(
+        capsys,
+        ["simulate", "--tokens", "6", "--prompt", "3,3,5,3", "--seed", "6",
+         "--transcript", str(tr)],
+    )
+    assert code == 0
+    res = report["results"]
+    entries = [json.loads(line) for line in tr.read_text().splitlines()]
+    requests = [e for e in entries if e["msg_type"] == "INFER_REQUEST"]
+    assert requests[0]["dims"] == [4, 64] and requests[0]["ref_rows"] == 2
+    assert res["ref_rows"] == sum(e["ref_rows"] for e in requests) >= 2
+    # counts only: no position, no row value, no permutation index
+    for e in entries:
+        for key, value in e.items():
+            if key == "dims" and value is not None:
+                assert len(value) == 2 and all(type(v) is int for v in value)
+            else:
+                assert value is None or isinstance(value, (str, int, float)), (key, value)
+        assert e["ref_rows"] is None or type(e["ref_rows"]) is int
 
 
 def test_simulate_socket_transport(capsys):
@@ -392,6 +420,7 @@ def test_bench_traffic_bundle(tmp_path, capsys):
     assert code == 0
     t = report["results"]["traffic"]
     assert t["request_bytes_computed"] == t["request_bytes_measured"]
+    assert t["ref_step_bytes_computed"] == t["ref_step_bytes_measured"] == 59
     header = csv_path.read_text().splitlines()[0]
     assert "request_bytes_computed" in header
 

@@ -502,13 +502,22 @@ def test_decode_wire_bytes_follow_rows_in_equals_rows_out():
     cfg = make_config(d_model=8, vocab_size=12)
     params = gen_model(cfg, 24)
     prompt, new = [0, 1, 2], 4
-    _, transcript = run_simulation(params, [prompt], new, seed=25)
+    (tokens,), transcript = run_simulation(params, [prompt], new, seed=25)
     head = wire.HEADER_SIZE + wire.MATRIX_PREFIX_SIZE
     d, s = cfg.d_model, cfg.vocab_size
+    # a step's row travels by reference when its token came earlier in the
+    # sequence (the embedding rows are distinct)
+    seq = prompt + tokens
+    refs = [0] + [int(seq[i] in seq[:i]) for i in range(len(prompt), len(seq) - 1)]
+    assert sum(refs) > 0
+    reqs = [e for e in transcript.entries if e["msg_type"] == "INFER_REQUEST"]
+    assert [e["ref_rows"] for e in reqs] == refs
     # generate asks for TOP1 replies: every request ends in a u32 start and a
-    # u32 mode, every reply is a u32 count and one u32 index (no ties here)
+    # u32 mode, a referenced row is a u32 count and a (position, source) pair,
+    # and every reply is a u32 count and one u32 index (no ties here)
     assert transcript.frame_bytes(wire.MsgType.INFER_REQUEST) == (
-        head + 4 * len(prompt) * d + 8 + (new - 1) * (head + 4 * d + 8)
+        head + 4 * len(prompt) * d + 8
+        + sum(head + 8 + (4 + 8 if r else 4 * d) for r in refs[1:])
     )
     assert transcript.frame_bytes(wire.MsgType.INFER_RESPONSE) == new * (
         wire.HEADER_SIZE + 4 + 4

@@ -34,6 +34,9 @@ from stip.wire import (
     make_infer_request,
     make_infer_response,
     make_rekey,
+    parse_infer_request,
+    request_dims,
+    resolve_rows,
 )
 
 F32 = np.float32
@@ -212,3 +215,109 @@ def test_frame_round_trip_property(mt, epoch, session, payload):
     raw = encoded(frame)
     assert decoded(raw) == frame
     assert encoded(decoded(raw)) == raw
+
+
+# --- INFER_REQUEST: rows sent by reference ------------------------------------------
+
+
+def test_all_literal_request_keeps_its_exact_bytes():
+    x = np.array([[1.0, -2.0, 0.5], [-np.inf, 3.25, 0.0]], dtype=F32)
+    req = make_infer_request(x, 3, 9, start=4, mode=ReplyMode.TOP1)
+    assert encoded(req).hex() == (
+        "535449500100030300000000000000090000000000000028000000000000000200"
+        "0000030000000000803f000000c00000003fffff7fff0000504000000000040000"
+        "0001000000"
+    )
+    assert request_dims(req.payload) == (2, 3, 0)
+
+
+@given(
+    d=st.integers(1, 5),
+    start=st.integers(0, 4),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_request_with_references_round_trips(d, start, n, seed, data):
+    """Each row is literal (-1) or a copy of a held row or an earlier one."""
+    rng = np.random.default_rng(seed)
+    held = rng.normal(size=(start, d)).astype(F32)
+    seq = list(held)
+    refs = []
+    for pos in range(start, start + n):
+        source = data.draw(st.integers(-1, pos - 1), label=f"source of {pos}")
+        if source < 0:
+            seq.append(rng.normal(size=d).astype(F32))
+        else:
+            seq.append(seq[source])
+            refs.append((pos, source))
+    x = np.array(seq[start:], dtype=F32).reshape(n, d)
+    req = make_infer_request(x, 1, 2, start=start, mode=ReplyMode.TOP1, refs=refs)
+    literal = n - len(refs)
+    block = 4 + 8 * len(refs) if refs else 0
+    assert len(req.payload) == MATRIX_PREFIX_SIZE + 4 * literal * d + 8 + block
+    assert request_dims(req.payload) == (n, d, len(refs))
+    literal_rows, got_start, mode, got_refs = parse_infer_request(req.payload)
+    assert (got_start, mode, got_refs) == (start, ReplyMode.TOP1, refs)
+    got = resolve_rows(literal_rows, start, got_refs, held)
+    assert got.tobytes() == x.tobytes()
+    if not refs:
+        assert req.payload == make_infer_request(x, 1, 2, start, ReplyMode.TOP1).payload
+
+
+def test_a_prefill_referencing_its_own_rows_decodes_without_held_rows():
+    x = np.array([[1, 2], [3, 4], [1, 2], [1, 2]], dtype=F32)
+    req = make_infer_request(x, 1, 2, refs=[(2, 0), (3, 0)])
+    assert len(req.payload) == MATRIX_PREFIX_SIZE + 4 * 2 * 2 + 8 + 4 + 2 * 8
+    assert np.array_equal(decode_infer_request(req.payload)[0], x)
+
+
+def test_a_reference_to_a_row_the_reader_lacks_is_codec_error():
+    step = make_infer_request(np.ones((1, 2), F32), 1, 2, start=3, refs=[(3, 1)])
+    with pytest.raises(CodecError):
+        decode_infer_request(step.payload)
+    literal, start, _, refs = parse_infer_request(step.payload)
+    with pytest.raises(CodecError):
+        resolve_rows(literal, start, refs, np.ones((2, 2), F32))
+    held = np.arange(6, dtype=F32).reshape(3, 2)
+    assert np.array_equal(resolve_rows(literal, start, refs, held), held[1:2])
+
+
+def _request_with_block(block, start=4, literal_rows=1, d=2):
+    x = np.ones((literal_rows, d), F32)
+    return encode_matrix(x) + struct.pack("<II", start, ReplyMode.TOP1) + block
+
+
+def _pairs(*pairs):
+    return struct.pack(f"<{2 * len(pairs)}I", *(v for p in pairs for v in p))
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        pytest.param(b"\x01\x00", id="truncated_count"),
+        pytest.param(struct.pack("<I", 1) + _pairs((5, 4))[:5], id="truncated_pair"),
+        pytest.param(struct.pack("<I", 2) + _pairs((5, 4)), id="count_above_pairs"),
+        pytest.param(struct.pack("<I", 1) + _pairs((5, 4), (6, 4)), id="count_below_pairs"),
+        pytest.param(struct.pack("<I", 0), id="count_zero"),
+        pytest.param(struct.pack("<I", 2) + _pairs((5, 4), (5, 4)), id="duplicate_position"),
+        pytest.param(struct.pack("<I", 2) + _pairs((6, 4), (5, 4)), id="descending"),
+        pytest.param(struct.pack("<I", 1) + _pairs((5, 5)), id="source_at_position"),
+        pytest.param(struct.pack("<I", 1) + _pairs((5, 6)), id="source_after_position"),
+        pytest.param(struct.pack("<I", 1) + _pairs((3, 0)), id="position_before_start"),
+        pytest.param(struct.pack("<I", 1) + _pairs((6, 0)), id="position_past_rows"),
+    ],
+)
+def test_malformed_reference_block_is_codec_error(block):
+    raw = _request_with_block(block)
+    with pytest.raises(CodecError):
+        parse_infer_request(raw)
+    with pytest.raises(CodecError):
+        decode_infer_request(raw)
+
+
+def test_well_formed_reference_block_parses():
+    raw = _request_with_block(struct.pack("<I", 1) + _pairs((5, 4)))
+    literal, start, mode, refs = parse_infer_request(raw)
+    assert literal.shape == (1, 2) and (start, mode) == (4, ReplyMode.TOP1)
+    assert refs == [(5, 4)]
