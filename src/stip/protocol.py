@@ -13,8 +13,8 @@ one row per generated token. P2 keeps the sequence's K′/V′ per link, so a
 decode step costs one row of wire traffic and one row of model work. Within
 an epoch a token's permuted row is the same bytes every time, so P2 already
 sees which rows of a sequence repeat; a row whose bytes equal an earlier row
-of its sequence therefore travels as a reference to that row's position, 12
-bytes in place of 4·d. P3 picks references by row bytes alone, within one
+of its sequence therefore travels as a reference to that row's position, 8
+bytes in place of 4·d, plus a 4-byte count per request. P3 picks references by row bytes alone, within one
 `generate` call; P2 resolves them from the request or from the sequence's
 x′ rows it keeps beside K′/V′, and runs the model on exactly the rows an
 all-literal request carries. Each

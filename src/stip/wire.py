@@ -213,9 +213,10 @@ def request_dims(raw):
 def parse_infer_request(raw):
     """INFER_REQUEST payload -> (literal rows, start, mode, refs).
 
-    `refs` is a list of (position, source) pairs, checked against each
-    other and the request's own rows; whether the reader holds the rows
-    below `start` is for `resolve_rows` to say. Any malformed part raises
+    `refs` is an (r, 2) array of (position, source) pairs, a view into the
+    payload. Only the frame's layout is checked here, in time independent of
+    r: `resolve_rows` checks each pair, so a reader can bound n = literal
+    rows + r before it spends anything per pair. A malformed layout raises
     CodecError.
     """
     rows, cols = matrix_dims(raw)
@@ -231,14 +232,14 @@ def parse_infer_request(raw):
         mode = ReplyMode(code)
     except ValueError:
         raise CodecError(f"unknown reply mode {code}") from None
-    refs = _parse_refs(memoryview(raw)[tail:], start, rows)
+    refs = _reference_pairs(memoryview(raw)[tail:])
     return decode_matrix(memoryview(raw)[:end]), start, mode, refs
 
 
-def _parse_refs(block, start, literal_rows):
-    """The (position, source) pairs of a request's reference block, if any."""
+def _reference_pairs(block):
+    """The (r, 2) pairs of a request's reference block; none when it is empty."""
     if not len(block):
-        return []
+        return np.empty((0, 2), dtype="<u4")
     if len(block) < _REF_COUNT.size:
         raise CodecError(f"reference block of {len(block)} bytes is truncated")
     (count,) = _REF_COUNT.unpack_from(block)
@@ -249,37 +250,36 @@ def _parse_refs(block, start, literal_rows):
         raise CodecError(
             f"reference block is {len(block)} bytes, its count of {count} needs {size}"
         )
-    flat = struct.unpack_from(f"<{2 * count}I", block, _REF_COUNT.size)
-    refs = list(zip(flat[0::2], flat[1::2]))
-    last = start - 1
-    for pos, source in refs:
-        if pos <= last:
-            raise CodecError("reference positions must be ascending, inside the request")
-        if source >= pos:
-            raise CodecError("a reference must name a row before its own position")
-        last = pos
-    if last >= start + literal_rows + count:
-        raise CodecError(f"reference position {last} is past the request's rows")
-    return refs
+    return np.frombuffer(block, dtype="<u4", offset=_REF_COUNT.size).reshape(count, 2)
 
 
 def resolve_rows(literal, start, refs, held=None):
     """The request's n×d rows: its literal rows in order, and at each
     (position, source) reference a copy of the row it names, one of `held`'s
     rows (those the reader holds, positions 0 … start − 1) or an earlier row
-    of the request. With no reference this is `literal` itself. A source that
-    `held` does not cover raises CodecError.
+    of the request. With no reference this is `literal` itself.
+
+    Positions must ascend inside the request's rows, start … start + n − 1,
+    and each source must come before its position and, below `start`, be
+    covered by `held`; otherwise CodecError.
     """
-    if not refs:
+    if not len(refs):
         return literal
-    if min(source for _, source in refs) < start and (held is None or len(held) < start):
-        raise CodecError(f"a reference names one of {start} rows the reader does not hold")
-    x = np.empty((len(literal) + len(refs), literal.shape[1]), dtype=literal.dtype)
-    if len(literal):
-        is_ref = np.zeros(len(x), dtype=bool)
-        is_ref[[pos - start for pos, _ in refs]] = True
-        x[~is_ref] = literal
-    for pos, source in refs:
+    n = len(literal) + len(refs)
+    x = np.empty((n, literal.shape[1]), dtype=literal.dtype)
+    is_ref = np.zeros(n, dtype=bool)
+    last = start - 1
+    for pos, source in refs.tolist():
+        if not last < pos < start + n:
+            raise CodecError(f"reference position {pos} is out of order or outside the request")
+        if source >= pos:
+            raise CodecError("a reference must name a row before its own position")
+        if source < start and (held is None or source >= len(held)):
+            raise CodecError(f"a reference names row {source}, which the reader does not hold")
+        is_ref[pos - start] = True
+        last = pos
+    x[~is_ref] = literal
+    for pos, source in refs.tolist():
         x[pos - start] = held[source] if source < start else x[source - start]
     return x
 

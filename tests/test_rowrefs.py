@@ -8,6 +8,7 @@ rows an all-literal request would carry.
 
 import dataclasses
 import importlib.util
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,12 @@ def test_references_p2_does_not_hold_are_refused_and_keep_the_cache(kind):
         bad = wire.make_infer_request(wide, p3.epoch, p3.session_id, 3, TOP1)
         assert _code(_ask(hub.p3_link, bad)) == malformed
         assert _code(_ask(hub.p3_link, _ref_step(p3, 3, 4))) == unsupported
+        # a block naming more rows than the cap is refused before any pair is read
+        empty = wire.make_infer_request(
+            np.empty((0, params.config.d_model), np.float32), p3.epoch, p3.session_id, 3, TOP1
+        )
+        huge = bytes(empty.payload) + struct.pack("<I", 4096) + bytes(8 * 4096)
+        assert _code(_ask(hub.p3_link, wire.Frame(empty.msg_type, p3.epoch, 0, huge))) == malformed
         # the cache is as the prefill left it
         reply = _ask(hub.p3_link, _ref_step(p3, 1, 3))
         assert bytes(reply.payload) == _oracle(p2, p3, prompt + [8])

@@ -258,7 +258,8 @@ def test_request_with_references_round_trips(d, start, n, seed, data):
     assert len(req.payload) == MATRIX_PREFIX_SIZE + 4 * literal * d + 8 + block
     assert request_dims(req.payload) == (n, d, len(refs))
     literal_rows, got_start, mode, got_refs = parse_infer_request(req.payload)
-    assert (got_start, mode, got_refs) == (start, ReplyMode.TOP1, refs)
+    assert (got_start, mode) == (start, ReplyMode.TOP1)
+    assert [tuple(pair) for pair in got_refs.tolist()] == refs
     got = resolve_rows(literal_rows, start, got_refs, held)
     assert got.tobytes() == x.tobytes()
     if not refs:
@@ -278,7 +279,7 @@ def test_a_reference_to_a_row_the_reader_lacks_is_codec_error():
         decode_infer_request(step.payload)
     literal, start, _, refs = parse_infer_request(step.payload)
     with pytest.raises(CodecError):
-        resolve_rows(literal, start, refs, np.ones((2, 2), F32))
+        resolve_rows(literal, start, refs, np.ones((1, 2), F32))
     held = np.arange(6, dtype=F32).reshape(3, 2)
     assert np.array_equal(resolve_rows(literal, start, refs, held), held[1:2])
 
@@ -311,7 +312,8 @@ def _pairs(*pairs):
 def test_malformed_reference_block_is_codec_error(block):
     raw = _request_with_block(block)
     with pytest.raises(CodecError):
-        parse_infer_request(raw)
+        literal, start, _, refs = parse_infer_request(raw)
+        resolve_rows(literal, start, refs, np.ones((4, 2), F32))
     with pytest.raises(CodecError):
         decode_infer_request(raw)
 
@@ -320,4 +322,17 @@ def test_well_formed_reference_block_parses():
     raw = _request_with_block(struct.pack("<I", 1) + _pairs((5, 4)))
     literal, start, mode, refs = parse_infer_request(raw)
     assert literal.shape == (1, 2) and (start, mode) == (4, ReplyMode.TOP1)
-    assert refs == [(5, 4)]
+    assert refs.tolist() == [[5, 4]]
+    held = np.zeros((4, 2), F32)
+    assert resolve_rows(literal, start, refs, held).tolist() == [[1, 1], [1, 1]]
+
+
+def test_a_large_reference_count_is_read_without_unpacking_its_pairs():
+    count = 2**20
+    block = struct.pack("<I", count) + bytes(8 * count)
+    raw = _request_with_block(block, start=0, literal_rows=0)
+    assert request_dims(raw) == (count, 2, count)
+    literal, _, _, refs = parse_infer_request(raw)
+    assert refs.shape == (count, 2) and refs.base is not None  # a view, no copy
+    with pytest.raises(CodecError):
+        resolve_rows(literal, 0, refs)  # its first pair names itself
