@@ -192,7 +192,8 @@ def make_infer_request(x, epoch, session_id, start=0, mode=ReplyMode.ALL, refs=(
     """
     if refs:
         at = {pos - start for pos, _ in refs}
-        literal = np.asarray(x)[[i for i in range(len(x)) if i not in at]]
+        keep = [i for i in range(len(x)) if i not in at]
+        literal = np.asarray(x)[keep] if keep else np.asarray(x)[:0]
         flat = [v for pair in refs for v in pair]
         block = struct.pack(f"<I{len(flat)}I", len(refs), *flat)
     else:
@@ -265,21 +266,23 @@ def resolve_rows(literal, start, refs, held=None):
     """
     if not len(refs):
         return literal
-    n = len(literal) + len(refs)
-    x = np.empty((n, literal.shape[1]), dtype=literal.dtype)
-    is_ref = np.zeros(n, dtype=bool)
+    pairs = refs.tolist()
+    n = len(literal) + len(pairs)
     last = start - 1
-    for pos, source in refs.tolist():
+    for pos, source in pairs:
         if not last < pos < start + n:
             raise CodecError(f"reference position {pos} is out of order or outside the request")
         if source >= pos:
             raise CodecError("a reference must name a row before its own position")
         if source < start and (held is None or source >= len(held)):
             raise CodecError(f"a reference names row {source}, which the reader does not hold")
-        is_ref[pos - start] = True
         last = pos
-    x[~is_ref] = literal
-    for pos, source in refs.tolist():
+    x = np.empty((n, literal.shape[1]), dtype=literal.dtype)
+    if len(literal):
+        is_ref = np.zeros(n, dtype=bool)
+        is_ref[[pos - start for pos, _ in pairs]] = True
+        x[~is_ref] = literal
+    for pos, source in pairs:
         x[pos - start] = held[source] if source < start else x[source - start]
     return x
 
