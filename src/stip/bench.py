@@ -69,7 +69,7 @@ def bench_traffic(n, d, s):
     A prefill of n rows, whatever its reply mode, then its ALL reply (n×s)
     and its TOP1 reply, which names one index; each tie at the maximum adds
     4 bytes. Then a one-row decode step, its row sent literally and sent as
-    a reference to an earlier row of the sequence.
+    a reference to a row of the link's row table.
     """
     overhead = wire.HEADER_SIZE + wire.MATRIX_PREFIX_SIZE
     x = np.zeros((n, d), dtype=np.float32)
@@ -84,7 +84,7 @@ def bench_traffic(n, d, s):
         "request_bytes_measured": _frame_bytes(wire.make_infer_request(x, 1, 0)),
         "step_bytes_computed": 4 * d + overhead + 8,
         "step_bytes_measured": _frame_bytes(wire.make_infer_request(row, 1, 0, start=n)),
-        "ref_step_bytes_computed": overhead + 8 + 4 + 8,
+        "ref_step_bytes_computed": overhead + 8 + 4 + 4 + 8,
         "ref_step_bytes_measured": _frame_bytes(
             wire.make_infer_request(row, 1, 0, start=n, refs=[(n, 0)])
         ),

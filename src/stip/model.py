@@ -221,24 +221,38 @@ def embed(token_ids, table):
 
 
 class _Rows:
-    """A matrix of `dtype` that grows by appended rows; its buffer doubles when full."""
+    """A matrix of `dtype` that grows by appended rows.
 
-    def __init__(self, dtype):
+    Its buffer doubles when full, but while the rows fit within `cap` it
+    grows no further than `cap` rows.
+    """
+
+    def __init__(self, dtype, cap=None):
         self.dtype = dtype
+        self.cap = cap
         self._buf = None
         self.n = 0
 
-    def append(self, rows):
-        """Append rows, cast to the buffer's dtype; returns a view of every row so far."""
+    def write(self, rows):
+        """Write rows, cast to the buffer's dtype, after the n held, without
+        holding them; returns a view of the held rows and these."""
         n = self.n + rows.shape[0]
         if self._buf is None or n > self._buf.shape[0]:
-            buf = np.empty((max(n, 2 * self.n), rows.shape[1]), dtype=self.dtype)
+            size = max(n, 2 * self.n)
+            if self.cap is not None and n <= self.cap:
+                size = min(size, self.cap)
+            buf = np.empty((size, rows.shape[1]), dtype=self.dtype)
             if self.n:
                 buf[: self.n] = self._buf[: self.n]
             self._buf = buf
         self._buf[self.n : n] = rows
-        self.n = n
         return self._buf[:n]
+
+    def append(self, rows):
+        """Append rows, cast to the buffer's dtype; returns a view of every row so far."""
+        out = self.write(rows)
+        self.n = out.shape[0]
+        return out
 
 
 class LayerKV:
@@ -248,9 +262,9 @@ class LayerKV:
     so `attention` hands the whole cached prefix to `matmul` without a cast.
     """
 
-    def __init__(self):
-        self._k = _Rows(np.float64)
-        self._v = _Rows(np.float64)
+    def __init__(self, cap=None):
+        self._k = _Rows(np.float64, cap)
+        self._v = _Rows(np.float64, cap)
 
     @property
     def rows(self):
@@ -270,12 +284,14 @@ class KVCache:
     outputs change as rows arrive; the cache keeps the input rows and
     `model_forward` recomputes over all of them.
     A forward pass that raises leaves the cache partly extended: drop it.
+    `cap`, the most rows the sequence may reach, bounds how far a buffer
+    grows ahead of its rows (`_Rows`).
     """
 
-    def __init__(self, n_layers):
+    def __init__(self, n_layers, cap=None):
         self.rows = 0
-        self.inputs = _Rows(DTYPE)
-        self.layers = [LayerKV() for _ in range(n_layers)]
+        self.inputs = _Rows(DTYPE, cap)
+        self.layers = [LayerKV(cap) for _ in range(n_layers)]
 
 
 def attention(x, w, mask, scale, kv=None, last_row=False):

@@ -12,16 +12,22 @@ Generation is incremental: P3 sends the whole prompt once (a prefill), then
 one row per generated token. P2 keeps the sequence's K′/V′ per link, so a
 decode step costs one row of wire traffic and one row of model work. Within
 an epoch a token's permuted row is the same bytes every time, so P2 already
-sees which rows of a sequence repeat; a row whose bytes equal an earlier row
-of its sequence therefore travels as a reference to that row's position, 8
-bytes in place of 4·d, plus a 4-byte count per request. P3 picks references by row bytes alone, within one
-`generate` call; P2 resolves them from the request or from the sequence's
-x′ rows it keeps beside K′/V′, and runs the model on exactly the rows an
-all-literal request carries. Each
-round asks for a TOP1 reply: P2 names the permuted indices where o′'s last
-row is largest, not the whole 1×s row. Since only that row is read, a TOP1
-round runs the last layer on the last row alone, past its K′/V′, which cover
-every row because later steps attend to them.
+sees which rows repeat. P2 therefore keeps, per link, a row table for P3's
+session at the epoch (`RowTable`): every row the session sent literally, in
+order, up to `transport.MAX_ROWS` rows, across generations. A row the table
+holds travels as a reference to its index, 8 bytes in place of 4·d, plus 8
+bytes per request. P3 mirrors the table (`SentRows`), picks references by
+permuted row bytes alone, and says in each reference block how many rows it
+has sent; P2 refuses a block that names an earlier row when that count
+differs from its own, so a lost reply or a second link can cost a refusal
+but never a wrong row. P3 draws a new session id after any failed
+generation, and drops the table with its keys; P2 starts a new table for a
+new session id or epoch. P2 runs the model on exactly the rows an
+all-literal request carries. Each round asks for a TOP1 reply: P2 names the
+permuted indices where o′'s last row is largest, not the whole 1×s row.
+Since only that row is read, a TOP1 round runs the last layer on the last
+row alone, past its K′/V′, which cover every row because later steps attend
+to them.
 
 A deploy writes θ′ once. P1 gathers each θ′ tensor from its own weights
 straight into its slot in the DEPLOY_MODEL container
@@ -95,6 +101,7 @@ from .transform import gen_permutation_set, recover_output
 from .transport import MAX_ROWS, accept, connect, inproc_pair, listen
 
 RECV_TIMEOUT = 30.0
+_U32_MAX = 2**32 - 1
 
 _log = logging.getLogger(__name__)
 
@@ -214,39 +221,62 @@ class DeveloperParty:
         return out
 
 
+class RowTable:
+    """The rows one P3 session sent literally on a link at one epoch, by index.
+
+    `key` is the (session id, epoch) pair. Every literal row of a request P2
+    serves takes the next index, in order, until the table holds `MAX_ROWS`
+    rows; later rows are counted in `sent` but not kept. A reference names a
+    row by its index here. P3 keeps the same indices (`SentRows`).
+    """
+
+    def __init__(self, key):
+        self.key = key
+        self.sent = 0
+        self.rows = _Rows(DTYPE, MAX_ROWS)
+
+    def stage(self, literal):
+        """The table as it stands once `literal`'s kept rows are in, as a view;
+        the table holds them only after `commit`."""
+        kept = max(0, min(len(literal), MAX_ROWS - self.rows.n))
+        return self.rows.write(literal[:kept])
+
+    def commit(self, staged, literal):
+        self.rows.n = len(staged)
+        self.sent += len(literal)
+
+
 class LinkCache:
-    """P2's decoding state for one link: one sequence under one epoch.
+    """P2's state for one link: one sequence under one epoch, and one row table.
 
     It holds only permuted rows P2 received on this link, values it computed
-    from them, and their epoch; no key. `kv` holds the sequence's K′/V′ (under
-    mask none, its x′ rows); `x` holds its x′ rows, which a later request may
-    name by position (`wire.resolve_rows`). Under mask none that is the
-    KVCache's own copy. The two are kept and dropped together.
+    from them, and their epoch and session id; no key. `kv` holds the
+    sequence's K′/V′ (under mask none, its x′ rows), and a prefill replaces
+    it. `table` holds the rows P3's session sent at the epoch (`RowTable`),
+    across sequences: a request from another session or epoch starts a new
+    one. A failed forward pass drops both.
     """
 
     def __init__(self):
         self.epoch = None
         self.kv = None
-        self.x = None
+        self.table = None
 
-    def begin(self, epoch, n_layers, mask_kind):
+    def begin(self, epoch, n_layers):
         """Begin a new sequence at `epoch`, dropping the one held."""
         self.epoch = epoch
-        self.kv = KVCache(n_layers)
-        self.x = self.kv.inputs if mask_kind is MaskKind.NONE else _Rows(DTYPE)
+        self.kv = KVCache(n_layers, MAX_ROWS)
 
-    def keep(self, x):
-        """Hold a request's x′ rows, unless the KVCache keeps them itself."""
-        if self.x is not self.kv.inputs:
-            self.x.append(x)
+    def table_for(self, key):
+        """The link's table for `key`, or a new empty one that `serve` keeps
+        only once it accepts the request."""
+        if self.table is not None and self.table.key == key:
+            return self.table
+        return RowTable(key)
 
     def drop(self):
         self.kv = None
-        self.x = None
-
-    def held(self):
-        """The x′ rows held for the sequence, as one view."""
-        return self.x._buf[: self.x.n]
+        self.table = None
 
 
 class ServerParty:
@@ -304,11 +334,15 @@ class ServerParty:
         replaces the link's cache; a decode step (start > 0) extends it and
         must name exactly the rows the cache holds. Without a cache (a direct
         call) only a prefill can be served, and nothing is kept. A row sent
-        by reference is resolved from the request or the cache's x′ rows
-        (`wire.resolve_rows`) before the forward pass, which sees the same
-        rows an all-literal request gives; a malformed reference block is
-        MALFORMED, and since a step must start at the rows held, it can name
-        no row the link does not hold.
+        by reference names a row of the link's table for the request's
+        session and epoch (`RowTable`), which then gains the request's
+        literal rows; it is resolved (`wire.resolve_rows`) before the forward
+        pass, which sees the same rows an all-literal request gives. A
+        reference block whose `size` is not the number of rows the table has
+        counted may name only the request's own literal rows (sources from
+        `size` on); one that names an earlier row is UNSUPPORTED, and a
+        malformed one MALFORMED. Either way no row is resolved and the table
+        is left as it was.
 
         Before any deploy this raises NotInitializedError; once θ′ is
         retired, at another epoch, or for rows cached at an earlier epoch,
@@ -336,7 +370,7 @@ class ServerParty:
         cfg = model.config
         if cfg.mask_kind is MaskKind.CUSTOM:
             raise ProtocolError("custom masks cannot travel over this protocol")
-        literal, start, mode, refs = wire.parse_infer_request(frame.payload)
+        literal, start, mode, refs, size = wire.parse_infer_request(frame.payload)
         n, d = literal.shape[0] + len(refs), literal.shape[1]
         if n == 0 or d != cfg.d_model:
             raise InvalidDimensionError(
@@ -346,7 +380,6 @@ class ServerParty:
             raise InvalidDimensionError(
                 f"request reaches row {start + n}, past the {MAX_ROWS}-row cap"
             )
-        held = None
         if start:
             if cache is None or cache.kv is None:
                 raise ProtocolError(f"decode step at row {start} without a prefill")
@@ -357,18 +390,29 @@ class ServerParty:
                 raise ProtocolError(
                     f"decode step at row {start}, link holds {cache.kv.rows} rows"
                 )
-            held = cache.held()
-        x = wire.resolve_rows(literal, start, refs, held)
+        key = (frame.session_id, epoch)
+        table = RowTable(key) if cache is None else cache.table_for(key)
+        staged = table.stage(literal)
+        if not len(refs) or size == table.sent:
+            x = wire.resolve_rows(literal, start, refs, staged)
+        elif refs[:, 1].min() >= size:  # it names only its own literal rows
+            x = wire.resolve_rows(literal, start, refs, literal, size)
+        else:
+            raise ProtocolError(
+                f"references follow {size} rows sent, the link's table counts {table.sent}"
+            )
         with self._lock:
             if model.w_c.dtype != np.float64:
                 _widen_dense(model)
-        if start == 0 and cache is not None:
-            cache.begin(epoch, cfg.n_layers, cfg.mask_kind)
-        kv = None if cache is None else cache.kv
+        kv = None
+        if cache is not None:
+            table.commit(staged, literal)
+            cache.table = table
+            if start == 0:
+                cache.begin(epoch, cfg.n_layers)
+            kv = cache.kv
         mask = make_mask(cfg.mask_kind, n=n)
         try:
-            if cache is not None:
-                cache.keep(x)
             top1 = mode == wire.ReplyMode.TOP1
             o = model_forward(x, model, mask, cache=kv, last_row=top1)
             if top1:
@@ -449,6 +493,39 @@ def check_generation(prompt_len, max_tokens):
         )
 
 
+class SentRows:
+    """P3's mirror of the row table P2 keeps for its session (`RowTable`).
+
+    `index` maps the permuted bytes of each row P2 keeps to its table
+    index, and `sent` counts the rows sent literally, kept or not. Only
+    permuted row bytes pick a reference, never a token id.
+    """
+
+    def __init__(self):
+        self.index = {}
+        self.sent = 0
+
+    def references(self, x, start):
+        """(refs, size) for a request of rows x at sequence position `start`.
+
+        A row held in the table travels as a (position, index) reference;
+        any other row is literal, and takes the next index while the table
+        has room. `size` is `sent` before the request.
+        """
+        size = self.sent
+        refs = []
+        for pos, row in enumerate(x, start):
+            key = row.tobytes()
+            source = self.index.get(key)
+            if source is not None:
+                refs.append((pos, source))
+                continue
+            if self.sent < MAX_ROWS:
+                self.index[key] = self.sent
+            self.sent += 1
+        return refs, size
+
+
 class DataOwnerParty:
     """P3: on-device embedding, column permutation, and output recovery."""
 
@@ -460,6 +537,12 @@ class DataOwnerParty:
         self.pi_c = None
         self.epoch = None
         self.session_id = _rand_session_id(session_seed)
+        self.sent_rows = SentRows()
+
+    def new_session(self):
+        """Draw a new session id and drop the row table: P2 starts a new one."""
+        self.session_id = _rand_session_id()
+        self.sent_rows = SentRows()
 
     def handle_deploy_keys(self, frame):
         """Install {π, π_c}, or raise StaleEpochError unless the epoch advances P3's."""
@@ -479,32 +562,31 @@ class DataOwnerParty:
         self.pi = pset.pi
         self.pi_c = pset.pi_c
         self.epoch = epoch
+        self.sent_rows = SentRows()  # P2 keys its table by epoch too
         return wire.make_ack(self.epoch, frame.session_id)
 
-    def infer_request(self, token_ids, start=0, mode=wire.ReplyMode.ALL, seen=None):
+    def infer_request(self, token_ids, start=0, mode=wire.ReplyMode.ALL, sent=None):
         """Embed on-device, permute columns by π, frame the request.
 
         start > 0 makes a decode step: token_ids follow the `start` rows P2
         already holds for this link. `mode` names the reply P2 sends.
 
-        A row whose bytes equal an earlier row of the request travels as a
-        reference to it (`wire.make_infer_request`). `seen` maps the bytes of
-        each row P2 already holds for the sequence to its first position; rows
-        found there travel as references too, and the request's new rows are
-        added to it. Only permuted row bytes pick a reference, never a token
-        id, so P2 learns no more than which of its rows are equal.
+        `sent`, a `SentRows`, mirrors the row table P2 keeps for this
+        session: a row found there travels as a reference to its index
+        (`wire.make_infer_request`), and the request's literal rows join it.
+        Without one only a row equal to an earlier row of the request travels
+        by reference; P2 adds the request's literal rows to its table all the
+        same, so P3's own mirror (`sent_rows`) no longer matches it, and the
+        next `generate` draws a new session.
         """
         if self.pi is None:
             raise NotInitializedError("no shared keys deployed")
         x = apply_col_perm(embed(token_ids, self.embedding), self.pi)
-        seen = {} if seen is None else seen
-        refs = []
-        for pos, row in enumerate(x, start):
-            source = seen.setdefault(row.tobytes(), pos)
-            if source != pos:
-                refs.append((pos, source))
+        if sent is None:
+            sent, self.sent_rows = SentRows(), None
+        refs, size = sent.references(x, start)
         return wire.make_infer_request(
-            x, self.epoch, self.session_id, start, mode, refs
+            x, self.epoch, self.session_id, start, mode, refs, size
         )
 
     def recover(self, frame, mode=wire.ReplyMode.ALL):
@@ -546,43 +628,50 @@ class DataOwnerParty:
         """Autoregressive loop: one request/response round per generated token.
 
         The first round sends the whole prompt; each later round sends only
-        the last token, continuing the rows P2 holds for this link. A row
-        equal to an earlier row of this generation travels as a reference
-        (`infer_request`'s `seen`, which lives only as long as this call).
-        Every round asks for a TOP1 reply. An empty prompt, or one that with
-        max_tokens would pass `transport.MAX_ROWS` rows, raises
-        InvalidDimensionError before any frame is sent (`check_generation`).
-        A transport fault, a server Error frame or a malformed reply raises
-        AbortedGenerationError carrying the tokens generated so far.
+        the last token, continuing the rows P2 holds for this link. A row P2
+        already holds in its table for this session travels as a reference
+        (`sent_rows`, kept across calls until the keys change). Every round
+        asks for a TOP1 reply. An empty prompt, or one that with max_tokens
+        would pass `transport.MAX_ROWS` rows, raises InvalidDimensionError
+        before any frame is sent (`check_generation`). A transport fault, a
+        server Error frame or a malformed reply raises
+        AbortedGenerationError carrying the tokens generated so far. A
+        generation that ends by any exception draws a new session
+        (`new_session`), so no table P2 may hold, or lack, is named again.
         """
         top1 = wire.ReplyMode.TOP1
         ids = [int(t) for t in prompt_ids]
         check_generation(len(ids), max_tokens)
-        seen = {}  # the sequence's rows P2 holds, by their bytes
+        if self.sent_rows is None or self.sent_rows.sent > _U32_MAX - len(ids) - max_tokens:
+            self.new_session()  # the mirror is stale, or its count would pass a u32
         out = []
-        for _ in range(max_tokens):
-            if out:
-                req = self.infer_request(
-                    ids[-1:], start=len(ids) - 1, mode=top1, seen=seen
-                )
-            else:
-                req = self.infer_request(ids, mode=top1, seen=seen)
-            try:
-                transport.send(req)
+        try:
+            for _ in range(max_tokens):
+                if out:
+                    req = self.infer_request(
+                        ids[-1:], start=len(ids) - 1, mode=top1, sent=self.sent_rows
+                    )
+                else:
+                    req = self.infer_request(ids, mode=top1, sent=self.sent_rows)
+                try:
+                    transport.send(req)
+                    if transcript is not None:
+                        transcript.log("P3->P2", req)
+                    resp = transport.recv(timeout=timeout)
+                except TransportError as exc:
+                    raise AbortedGenerationError(str(exc), out) from exc
                 if transcript is not None:
-                    transcript.log("P3->P2", req)
-                resp = transport.recv(timeout=timeout)
-            except TransportError as exc:
-                raise AbortedGenerationError(str(exc), out) from exc
-            if transcript is not None:
-                transcript.log("P2->P3", resp)
-            try:
-                o = self.recover(resp, top1)
-            except (ProtocolError, CodecError) as exc:
-                raise AbortedGenerationError(str(exc), out) from exc
-            nxt = greedy_decode_step(o)
-            ids.append(nxt)
-            out.append(nxt)
+                    transcript.log("P2->P3", resp)
+                try:
+                    o = self.recover(resp, top1)
+                except (ProtocolError, CodecError) as exc:
+                    raise AbortedGenerationError(str(exc), out) from exc
+                nxt = greedy_decode_step(o)
+                ids.append(nxt)
+                out.append(nxt)
+        except BaseException:
+            self.new_session()
+            raise
         return out
 
     def state_bytes(self):

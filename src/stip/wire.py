@@ -7,14 +7,17 @@ message type; matrices travel as (rows u32, cols u32, f32 row-major).
 An INFER_REQUEST payload is the matrix x′, then an 8-byte trailer: u32
 `start`, the number of rows the server must already hold for this link (0 for
 a prefill), and u32 reply mode. A request of n rows covers sequence positions
-start … start + n − 1. A row whose bytes equal an earlier row of the sequence
-may travel as a reference to that row's position instead: then the matrix
-holds only the other rows, in order, and a reference block follows the
-trailer: u32 count r >= 1, then r pairs (u32 position, u32 source), positions
-ascending and inside the request, each source before its position. A source
-below `start` names a row the server already holds; any other, an earlier row
-of the request. So n = the matrix's rows + r, and a request with no reference
-has no block: its bytes are those of the all-literal encoding.
+start … start + n − 1. A row may travel as a reference to a row of the
+link's row table instead: the table holds, in order, every row the client's
+session sent literally at this epoch, up to a cap. Then the matrix holds only
+the literal rows, in order, and a reference block follows the trailer: u32
+count r >= 1, u32 `size`, the number of rows the session sent literally
+before this request, then r pairs (u32 position, u32 source), positions
+ascending and inside the request. A source is a table index; this request's
+own literal rows take the indices from `size` on, so a reference may name
+an earlier row of the request. So n = the matrix's rows + r, and a request
+with no reference has no block: its bytes are those of the all-literal
+encoding.
 
 The INFER_RESPONSE payload depends on the reply mode the request named:
 - ALL: the matrix o′, one softmax row per request row;
@@ -43,7 +46,7 @@ _MATRIX_PREFIX = struct.Struct("<II")
 MATRIX_PREFIX_SIZE = _MATRIX_PREFIX.size  # 8
 
 _REQUEST_TRAILER = struct.Struct("<II")
-_REF_COUNT = struct.Struct("<I")
+_REF_HEAD = struct.Struct("<II")  # count r, then the rows sent before the request
 _REF_SIZE = 8  # one (u32 position, u32 source) pair
 _TOP1_COUNT = struct.Struct("<I")
 _ERROR_PREFIX = struct.Struct("<H")
@@ -182,20 +185,23 @@ def make_deploy_keys(keys_bytes, epoch, session_id):
     return Frame(MsgType.DEPLOY_KEYS, epoch, session_id, bytes(keys_bytes))
 
 
-def make_infer_request(x, epoch, session_id, start=0, mode=ReplyMode.ALL, refs=()):
+def make_infer_request(
+    x, epoch, session_id, start=0, mode=ReplyMode.ALL, refs=(), size=0
+):
     """Rows x of a sequence; start > 0 says the server already holds `start` rows.
 
     `refs` holds (position, source) pairs, positions ascending: x's row at
-    sequence position `position` equals the row at `source`, and travels as
-    that reference, not as its 4·d bytes. With no pair the payload is the
-    all-literal one, byte for byte.
+    sequence position `position` equals row `source` of the link's row table,
+    and travels as that reference, not as its 4·d bytes. `size` is the number
+    of rows the session sent literally before this request. With no pair the
+    payload is the all-literal one, byte for byte.
     """
     if refs:
         at = {pos - start for pos, _ in refs}
         keep = [i for i in range(len(x)) if i not in at]
         literal = np.asarray(x)[keep] if keep else np.asarray(x)[:0]
         flat = [v for pair in refs for v in pair]
-        block = struct.pack(f"<I{len(flat)}I", len(refs), *flat)
+        block = struct.pack(f"<II{len(flat)}I", len(refs), size, *flat)
     else:
         literal, block = x, b""
     payload = encode_matrix(literal) + _REQUEST_TRAILER.pack(start, mode) + block
@@ -207,18 +213,19 @@ def request_dims(raw):
     many of them travel by reference, read without decoding a value."""
     rows, cols = matrix_dims(raw)
     end = MATRIX_PREFIX_SIZE + 4 * rows * cols + _REQUEST_TRAILER.size
-    r = _REF_COUNT.unpack_from(raw, end)[0] if len(raw) >= end + _REF_COUNT.size else 0
+    r = _REF_HEAD.unpack_from(raw, end)[0] if len(raw) >= end + _REF_HEAD.size else 0
     return rows + r, cols, r
 
 
 def parse_infer_request(raw):
-    """INFER_REQUEST payload -> (literal rows, start, mode, refs).
+    """INFER_REQUEST payload -> (literal rows, start, mode, refs, size).
 
     `refs` is an (r, 2) array of (position, source) pairs, a view into the
-    payload. Only the frame's layout is checked here, in time independent of
-    r: `resolve_rows` checks each pair, so a reader can bound n = literal
-    rows + r before it spends anything per pair. A malformed layout raises
-    CodecError.
+    payload, and `size` the rows the session sent literally before this
+    request (None with no reference). Only the frame's layout is checked
+    here, in time independent of r: `resolve_rows` checks the pairs, so a
+    reader can bound n = literal rows + r before it spends anything on
+    them. A malformed layout raises CodecError.
     """
     rows, cols = matrix_dims(raw)
     end = MATRIX_PREFIX_SIZE + 4 * rows * cols
@@ -233,69 +240,79 @@ def parse_infer_request(raw):
         mode = ReplyMode(code)
     except ValueError:
         raise CodecError(f"unknown reply mode {code}") from None
-    refs = _reference_pairs(memoryview(raw)[tail:])
-    return decode_matrix(memoryview(raw)[:end]), start, mode, refs
+    refs, size = _reference_block(memoryview(raw)[tail:])
+    return decode_matrix(memoryview(raw)[:end]), start, mode, refs, size
 
 
-def _reference_pairs(block):
-    """The (r, 2) pairs of a request's reference block; none when it is empty."""
+def _reference_block(block):
+    """(pairs, size) of a request's reference block: (r, 2) pairs and the
+    rows sent before the request; no pair and None when it is empty."""
     if not len(block):
-        return np.empty((0, 2), dtype="<u4")
-    if len(block) < _REF_COUNT.size:
+        return np.empty((0, 2), dtype="<u4"), None
+    if len(block) < _REF_HEAD.size:
         raise CodecError(f"reference block of {len(block)} bytes is truncated")
-    (count,) = _REF_COUNT.unpack_from(block)
+    count, size = _REF_HEAD.unpack_from(block)
     if count == 0:
         raise CodecError("a reference block must name at least one row")
-    size = _REF_COUNT.size + _REF_SIZE * count
-    if len(block) != size:
+    need = _REF_HEAD.size + _REF_SIZE * count
+    if len(block) != need:
         raise CodecError(
-            f"reference block is {len(block)} bytes, its count of {count} needs {size}"
+            f"reference block is {len(block)} bytes, its count of {count} needs {need}"
         )
-    return np.frombuffer(block, dtype="<u4", offset=_REF_COUNT.size).reshape(count, 2)
+    pairs = np.frombuffer(block, dtype="<u4", offset=_REF_HEAD.size).reshape(count, 2)
+    return pairs, size
 
 
-def resolve_rows(literal, start, refs, held=None):
+def resolve_rows(literal, start, refs, table, base=0):
     """The request's n×d rows: its literal rows in order, and at each
-    (position, source) reference a copy of the row it names, one of `held`'s
-    rows (those the reader holds, positions 0 … start − 1) or an earlier row
-    of the request. With no reference this is `literal` itself.
+    (position, source) reference a copy of table row `source`.
 
-    Positions must ascend inside the request's rows, start … start + n − 1,
-    and each source must come before its position and, below `start`, be
-    covered by `held`; otherwise CodecError.
+    `table` holds the reader's table rows base, base + 1, …, this request's
+    kept literal rows included. Positions must ascend inside the request's
+    rows, start … start + n − 1, and each source must name a row of `table`;
+    otherwise CodecError. The checks are array operations and the referenced
+    rows come from one gather. With no reference this is `literal` itself.
     """
-    if not len(refs):
+    r = len(refs)
+    if not r:
         return literal
-    pairs = refs.tolist()
-    n = len(literal) + len(pairs)
-    last = start - 1
-    for pos, source in pairs:
-        if not last < pos < start + n:
-            raise CodecError(f"reference position {pos} is out of order or outside the request")
-        if source >= pos:
-            raise CodecError("a reference must name a row before its own position")
-        if source < start and (held is None or source >= len(held)):
-            raise CodecError(f"a reference names row {source}, which the reader does not hold")
-        last = pos
+    n = len(literal) + r
+    pos, idx = refs[:, 0], refs[:, 1]
+    ascending = r == 1 or not (pos[1:] <= pos[:-1]).any()
+    if not (ascending and start <= pos[0] <= pos[-1] < start + n):
+        raise CodecError("reference positions must ascend inside the request")
+    if base:
+        idx = idx.astype(np.int64) - base
+    try:
+        if base and idx.min() < 0:
+            raise IndexError
+        rows = table.take(idx, axis=0)
+    except IndexError:
+        raise CodecError(
+            f"a reference names a row the reader does not hold "
+            f"({len(table)} rows from row {base})"
+        ) from None
+    if r == n:  # r ascending positions among n: every row, in order
+        return rows
+    at = pos.astype(np.int64) - start
+    is_ref = np.zeros(n, dtype=bool)
+    is_ref[at] = True
     x = np.empty((n, literal.shape[1]), dtype=literal.dtype)
-    if len(literal):
-        is_ref = np.zeros(n, dtype=bool)
-        is_ref[[pos - start for pos, _ in pairs]] = True
-        x[~is_ref] = literal
-    for pos, source in pairs:
-        x[pos - start] = held[source] if source < start else x[source - start]
+    x[~is_ref] = literal
+    x[at] = rows
     return x
 
 
 def decode_infer_request(raw):
     """INFER_REQUEST payload -> (x, start, mode): the inverse of make_infer_request.
 
-    x is the full n×d request. A reference to a row before `start` needs the
-    rows the reader holds (`parse_infer_request`, then `resolve_rows`), and
-    raises CodecError here.
+    x is the full n×d request. Its literal rows stand for the table rows from
+    `size` on, so a reference to one of them resolves here; a reference to a
+    row sent before the request needs the reader's table (`parse_infer_request`,
+    then `resolve_rows`), and raises CodecError here.
     """
-    literal, start, mode, refs = parse_infer_request(raw)
-    return resolve_rows(literal, start, refs), start, mode
+    literal, start, mode, refs, size = parse_infer_request(raw)
+    return resolve_rows(literal, start, refs, literal, size), start, mode
 
 
 def make_infer_response(o, epoch, session_id):

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -123,6 +124,28 @@ def test_metric_bounds_reads_the_end_to_end_bounds_of_the_benchmark():
     bounds = bench_pairs.metric_bounds(_PATH.parent.parent)
     assert bounds["ttft_ms.p50"] == 0.25 and bounds["wire_bytes_per_token"] == 0.01
     assert "model.ffn_s" not in bounds
+
+
+def test_run_once_keeps_the_metrics_and_the_timed_session_count(monkeypatch, tmp_path):
+    report = tmp_path / "moe-prefill-seed7-trace0.json"
+    report.write_text(json.dumps({"extra": {"sessions": {"value": 131, "unit": "count"}}}))
+    result = {"correct": True, "failed": 0, "attempted": 9,
+              "metrics": {"tokens_per_s": {"value": 40.0, "unit": "tokens/s"}}}
+    stdout = f"== moe-prefill\n  wrote {report}\n{json.dumps(result)}"
+
+    def run(cmd, **kwargs):
+        assert kwargs["env"]["OPENBLAS_NUM_THREADS"] == "1"
+        return SimpleNamespace(returncode=0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    r = bench_pairs.run_once("change", "moe-prefill", 7, 20.0, 0)
+    assert (r["correct"], r["failed"], r["attempted"]) == (True, 0, 9)
+    assert r["sessions"] == 131 and r["metrics"] == {"tokens_per_s": 40.0}
+    # a traced run keeps the untimed half's count under its untraced name
+    report.write_text(json.dumps({"extra": {"untraced.sessions": {"value": 65}}}))
+    assert bench_pairs.run_once("change", "moe-prefill", 7, 20.0, 1)["sessions"] == 65
+    stdout = json.dumps(result)  # no report written: no count
+    assert bench_pairs.run_once("change", "moe-prefill", 7, 20.0, 0)["sessions"] is None
 
 
 def _fake_runs(monkeypatch, calls):

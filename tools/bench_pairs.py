@@ -7,8 +7,9 @@ Each pair runs `perfbench/run.py` once in the parent checkout and once in the
 change checkout, as a black box: a fresh seed per pair (`--seed` + pair
 index), and the side that runs first alternates from pair to pair. The last
 stdout line of each run is its JSON result; the tool keeps every run's
-metrics, `correct`, `failed` and wall time, then per side the median and
-quartiles of each metric and the change's win count (direction from
+metrics, `correct`, `failed`, wall time and timed-session count (`sessions`:
+a figure such as wire bytes per token can move with it), then per side the
+median and quartiles of each metric and the change's win count (direction from
 `BENCHMARK.json`). For each end-to-end metric it also records whether the
 change's median stays within the metric's `bound` of the parent's, and
 whether the parent's own spread is wider than that bound. Results go under `workloads.<name>` (or
@@ -124,9 +125,25 @@ def run_once(checkout, workload, seed, seconds, trace):
         "failed": result.get("failed"),
         "attempted": result.get("attempted"),
         "wall_s": round(wall, 3),
+        "sessions": timed_sessions(stdout),
         "metrics": {name: m["value"] for name, m in metrics.items()},
         **({"error": result["error"]} if "error" in result else {}),
     }
+
+
+def timed_sessions(stdout):
+    """The timed-session count of a run, read from the full report it wrote
+    (its `wrote <path>.json` line); None when there is none."""
+    for line in stdout.splitlines():
+        path = line.strip().removeprefix("wrote ")
+        if path != line.strip() and path.endswith(".json"):
+            try:
+                extra = json.loads(Path(path).read_text()).get("extra") or {}
+            except (OSError, ValueError):
+                return None
+            found = extra.get("sessions") or extra.get("untraced.sessions")
+            return found["value"] if found else None
+    return None
 
 
 def metric_directions(checkout):
