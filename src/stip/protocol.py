@@ -18,16 +18,15 @@ order, up to `transport.MAX_ROWS` rows, across generations. A row the table
 holds travels as a reference to its index, 8 bytes in place of 4·d, plus 8
 bytes per request. P3 mirrors the table (`SentRows`), picks references by
 permuted row bytes alone, and says in each reference block how many rows it
-has sent; P2 refuses a block that names an earlier row when that count
-differs from its own, so a lost reply or a second link can cost a refusal
-but never a wrong row. P3 draws a new session id after any failed
-generation, and drops the table with its keys; P2 starts a new table for a
-new session id or epoch. P2 runs the model on exactly the rows an
-all-literal request carries. Each round asks for a TOP1 reply: P2 names the
-permuted indices where o′'s last row is largest, not the whole 1×s row.
-Since only that row is read, a TOP1 round runs the last layer on the last
-row alone, past its K′/V′, which cover every row because later steps attend
-to them.
+has sent; P2 refuses a block whose count differs from its own, so a lost
+reply or a second link can cost a refusal but never a wrong row. P3 draws a
+new session id after any failed generation, and drops the table with its
+keys; P2 starts a new table for a new session id or epoch. P2 runs the model
+on exactly the rows an all-literal request carries. Each round asks for a
+TOP1 reply: P2 names the permuted indices where o′'s last row is largest,
+not the whole 1×s row. Since only that row is read, a TOP1 round runs the
+last layer on the last row alone, past its K′/V′, which cover every row
+because later steps attend to them.
 
 A deploy writes θ′ once. P1 gathers each θ′ tensor from its own weights
 straight into its slot in the DEPLOY_MODEL container
@@ -242,6 +241,7 @@ class RowTable:
         return self.rows.write(literal[:kept])
 
     def commit(self, staged, literal):
+        """Hold the rows `stage` wrote, and count every literal row sent."""
         self.rows.n = len(staged)
         self.sent += len(literal)
 
@@ -339,10 +339,8 @@ class ServerParty:
         literal rows; it is resolved (`wire.resolve_rows`) before the forward
         pass, which sees the same rows an all-literal request gives. A
         reference block whose `size` is not the number of rows the table has
-        counted may name only the request's own literal rows (sources from
-        `size` on); one that names an earlier row is UNSUPPORTED, and a
-        malformed one MALFORMED. Either way no row is resolved and the table
-        is left as it was.
+        counted is UNSUPPORTED, and a malformed one MALFORMED; either way no
+        row is resolved and the table is left as it was.
 
         Before any deploy this raises NotInitializedError; once θ′ is
         retired, at another epoch, or for rows cached at an earlier epoch,
@@ -392,15 +390,12 @@ class ServerParty:
                 )
         key = (frame.session_id, epoch)
         table = RowTable(key) if cache is None else cache.table_for(key)
-        staged = table.stage(literal)
-        if not len(refs) or size == table.sent:
-            x = wire.resolve_rows(literal, start, refs, staged)
-        elif refs[:, 1].min() >= size:  # it names only its own literal rows
-            x = wire.resolve_rows(literal, start, refs, literal, size)
-        else:
+        if len(refs) and size != table.sent:
             raise ProtocolError(
                 f"references follow {size} rows sent, the link's table counts {table.sent}"
             )
+        staged = table.stage(literal)
+        x = wire.resolve_rows(literal, start, refs, staged)
         with self._lock:
             if model.w_c.dtype != np.float64:
                 _widen_dense(model)
@@ -574,17 +569,18 @@ class DataOwnerParty:
         `sent`, a `SentRows`, mirrors the row table P2 keeps for this
         session: a row found there travels as a reference to its index
         (`wire.make_infer_request`), and the request's literal rows join it.
-        Without one only a row equal to an earlier row of the request travels
-        by reference; P2 adds the request's literal rows to its table all the
-        same, so P3's own mirror (`sent_rows`) no longer matches it, and the
-        next `generate` draws a new session.
+        Without one every row travels literally. P2 adds them to its table
+        all the same, so P3's own mirror (`sent_rows`) no longer matches it,
+        and the next `generate` draws a new session.
         """
         if self.pi is None:
             raise NotInitializedError("no shared keys deployed")
         x = apply_col_perm(embed(token_ids, self.embedding), self.pi)
+        refs, size = (), 0
         if sent is None:
-            sent, self.sent_rows = SentRows(), None
-        refs, size = sent.references(x, start)
+            self.sent_rows = None
+        else:
+            refs, size = sent.references(x, start)
         return wire.make_infer_request(
             x, self.epoch, self.session_id, start, mode, refs, size
         )

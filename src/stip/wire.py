@@ -283,14 +283,13 @@ def resolve_rows(literal, start, refs, table, base=0):
         raise CodecError("reference positions must ascend inside the request")
     if base:
         idx = idx.astype(np.int64) - base
+        if idx.min() < 0:
+            raise CodecError(f"a reference names a row sent before row {base}")
     try:
-        if base and idx.min() < 0:
-            raise IndexError
         rows = table.take(idx, axis=0)
     except IndexError:
         raise CodecError(
-            f"a reference names a row the reader does not hold "
-            f"({len(table)} rows from row {base})"
+            f"a reference names a row past the reader's {base + len(table)} rows"
         ) from None
     if r == n:  # r ascending positions among n: every row, in order
         return rows

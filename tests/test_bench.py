@@ -27,12 +27,13 @@ def test_traffic_request_bytes_formula():
 def test_traffic_step_by_reference_bytes_formula():
     rep = bench_traffic(n=16, d=64, s=100)
     # a literal step carries its 4·d bytes; a referenced one an empty 0×d
-    # matrix, the trailer, a u32 count and one (position, source) pair
+    # matrix, the trailer, a u32 count, a u32 size and one (position, source)
+    # pair
     assert rep["step_bytes_computed"] == 4 * 64 + 39 + 8
-    assert rep["ref_step_bytes_computed"] == 39 + 8 + 4 + 8
+    assert rep["ref_step_bytes_computed"] == 39 + 8 + 4 + 4 + 8
     for kind in ("step", "ref_step"):
         assert rep[f"{kind}_bytes_measured"] == rep[f"{kind}_bytes_computed"]
-    assert bench_traffic(n=16, d=512, s=100)["ref_step_bytes_measured"] == 59
+    assert bench_traffic(n=16, d=512, s=100)["ref_step_bytes_measured"] == 63
 
 
 def test_traffic_response_bytes_formula():

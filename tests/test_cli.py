@@ -282,14 +282,15 @@ def test_simulate_reports_wire_bytes_per_token(capsys):
     head = 31 + 8
     d, s = 64, 100  # the default desk config
     # a step's row travels by reference when its token came earlier in the
-    # sequence: a u32 count and a (position, source) pair instead of 4·d bytes
+    # sequence: a u32 count, a u32 size and a (position, source) pair instead
+    # of 4·d bytes
     seq = [0, 1, 2] + res["tokens"]
     r = sum(seq[i] in seq[:i] for i in range(3, 6))
     assert res["ref_rows"] == r
     # every round asks for a TOP1 reply: each request ends in a u32 start and
     # a u32 mode, and each reply is a u32 count and one u32 index (no ties)
     assert res["request_bytes_per_token"] == (
-        head + 4 * 3 * d + 8 + 3 * (head + 4 * d + 8) - r * (4 * d - 12)
+        head + 4 * 3 * d + 8 + 3 * (head + 4 * d + 8) - r * (4 * d - 16)
     ) / 4
     assert res["response_bytes_per_token"] == 31 + 4 + 4
     # a bare prefill still gets the full reply, one row per request row
@@ -420,7 +421,7 @@ def test_bench_traffic_bundle(tmp_path, capsys):
     assert code == 0
     t = report["results"]["traffic"]
     assert t["request_bytes_computed"] == t["request_bytes_measured"]
-    assert t["ref_step_bytes_computed"] == t["ref_step_bytes_measured"] == 59
+    assert t["ref_step_bytes_computed"] == t["ref_step_bytes_measured"] == 63
     header = csv_path.read_text().splitlines()[0]
     assert "request_bytes_computed" in header
 

@@ -501,27 +501,34 @@ def test_mask_none_generation_matches_local_greedy(kind):
 def test_decode_wire_bytes_follow_rows_in_equals_rows_out():
     cfg = make_config(d_model=8, vocab_size=12)
     params = gen_model(cfg, 24)
-    prompt, new = [0, 1, 2], 4
-    (tokens,), transcript = run_simulation(params, [prompt], new, seed=25)
+    prompts, new = [[0, 1, 2], [2, 1, 3]], 4
+    streams, transcript = run_simulation(params, prompts, new, seed=25)
     head = wire.HEADER_SIZE + wire.MATRIX_PREFIX_SIZE
     d, s = cfg.d_model, cfg.vocab_size
-    # a step's row travels by reference when its token came earlier in the
-    # sequence (the embedding rows are distinct)
-    seq = prompt + tokens
-    refs = [0] + [int(seq[i] in seq[:i]) for i in range(len(prompt), len(seq) - 1)]
-    assert sum(refs) > 0
+    # a row travels by reference when its token was sent earlier in the run,
+    # in this generation or an earlier one (the embedding rows are distinct)
+    rows, refs, sent = [], [], set()
+    for prompt, tokens in zip(prompts, streams):
+        for request in [prompt] + [[t] for t in tokens[:-1]]:
+            rows.append(len(request))
+            refs.append(0)
+            for t in request:
+                refs[-1] += t in sent
+                sent.add(t)
+    assert refs[new] >= 2  # the second prompt's 2 and 1
     reqs = [e for e in transcript.entries if e["msg_type"] == "INFER_REQUEST"]
     assert [e["ref_rows"] for e in reqs] == refs
     # generate asks for TOP1 replies: every request ends in a u32 start and a
-    # u32 mode, a referenced row is a u32 count and a (position, source) pair,
-    # and every reply is a u32 count and one u32 index (no ties here)
-    assert transcript.frame_bytes(wire.MsgType.INFER_REQUEST) == (
-        head + 4 * len(prompt) * d + 8
-        + sum(head + 8 + (4 + 8 if r else 4 * d) for r in refs[1:])
+    # u32 mode; one with r references sends 4·d bytes for each other row and
+    # a block of a u32 count, a u32 size and r (position, source) pairs; every
+    # reply is a u32 count and one u32 index (no ties here)
+    assert transcript.frame_bytes(wire.MsgType.INFER_REQUEST) == sum(
+        head + 4 * (n - r) * d + 8 + (8 + 8 * r if r else 0) for n, r in zip(rows, refs)
     )
-    assert transcript.frame_bytes(wire.MsgType.INFER_RESPONSE) == new * (
+    assert transcript.frame_bytes(wire.MsgType.INFER_RESPONSE) == len(prompts) * new * (
         wire.HEADER_SIZE + 4 + 4
     )
+    prompt = prompts[0]
     # ALL replies keep one row per request row
     _, p2, p3 = deployed(params, seed=25)
     cache = LinkCache()

@@ -235,53 +235,72 @@ def test_all_literal_request_keeps_its_exact_bytes():
     d=st.integers(1, 5),
     start=st.integers(0, 4),
     n=st.integers(1, 6),
+    size=st.integers(0, 4),
     seed=st.integers(0, 2**16),
     data=st.data(),
 )
-def test_request_with_references_round_trips(d, start, n, seed, data):
-    """Each row is literal (-1) or a copy of a held row or an earlier one."""
+def test_request_with_references_round_trips(d, start, n, size, seed, data):
+    """Each row is literal (-1) or a copy of a row of the reader's table: one
+    of the `size` rows sent before, or an earlier literal row of the request,
+    which takes the next index."""
     rng = np.random.default_rng(seed)
-    held = rng.normal(size=(start, d)).astype(F32)
-    seq = list(held)
-    refs = []
+    table = list(rng.normal(size=(size, d)).astype(F32))
+    rows, refs = [], []
     for pos in range(start, start + n):
-        source = data.draw(st.integers(-1, pos - 1), label=f"source of {pos}")
+        source = data.draw(st.integers(-1, len(table) - 1), label=f"source of {pos}")
         if source < 0:
-            seq.append(rng.normal(size=d).astype(F32))
+            table.append(rng.normal(size=d).astype(F32))
+            rows.append(table[-1])
         else:
-            seq.append(seq[source])
+            rows.append(table[source])
             refs.append((pos, source))
-    x = np.array(seq[start:], dtype=F32).reshape(n, d)
-    req = make_infer_request(x, 1, 2, start=start, mode=ReplyMode.TOP1, refs=refs)
+    x = np.array(rows, dtype=F32).reshape(n, d)
+    req = make_infer_request(x, 1, 2, start=start, mode=ReplyMode.TOP1, refs=refs, size=size)
     literal = n - len(refs)
-    block = 4 + 8 * len(refs) if refs else 0
+    block = 4 + 4 + 8 * len(refs) if refs else 0
     assert len(req.payload) == MATRIX_PREFIX_SIZE + 4 * literal * d + 8 + block
     assert request_dims(req.payload) == (n, d, len(refs))
-    literal_rows, got_start, mode, got_refs = parse_infer_request(req.payload)
+    literal_rows, got_start, mode, got_refs, got_size = parse_infer_request(req.payload)
     assert (got_start, mode) == (start, ReplyMode.TOP1)
     assert [tuple(pair) for pair in got_refs.tolist()] == refs
-    got = resolve_rows(literal_rows, start, got_refs, held)
+    assert got_size == (size if refs else None)
+    staged = np.array(table, dtype=F32).reshape(len(table), d)
+    got = resolve_rows(literal_rows, start, got_refs, staged)
     assert got.tobytes() == x.tobytes()
+    if all(source >= size for _, source in refs):  # the request alone resolves them
+        assert decode_infer_request(req.payload)[0].tobytes() == x.tobytes()
     if not refs:
         assert req.payload == make_infer_request(x, 1, 2, start, ReplyMode.TOP1).payload
 
 
 def test_a_prefill_referencing_its_own_rows_decodes_without_held_rows():
     x = np.array([[1, 2], [3, 4], [1, 2], [1, 2]], dtype=F32)
-    req = make_infer_request(x, 1, 2, refs=[(2, 0), (3, 0)])
-    assert len(req.payload) == MATRIX_PREFIX_SIZE + 4 * 2 * 2 + 8 + 4 + 2 * 8
+    req = make_infer_request(x, 1, 2, refs=[(2, 7), (3, 7)], size=7)
+    assert len(req.payload) == MATRIX_PREFIX_SIZE + 4 * 2 * 2 + 8 + 4 + 4 + 2 * 8
     assert np.array_equal(decode_infer_request(req.payload)[0], x)
 
 
 def test_a_reference_to_a_row_the_reader_lacks_is_codec_error():
-    step = make_infer_request(np.ones((1, 2), F32), 1, 2, start=3, refs=[(3, 1)])
+    step = make_infer_request(np.ones((1, 2), F32), 1, 2, start=3, refs=[(3, 1)], size=3)
     with pytest.raises(CodecError):
-        decode_infer_request(step.payload)
-    literal, start, _, refs = parse_infer_request(step.payload)
+        decode_infer_request(step.payload)  # row 1 was sent before the request
+    literal, start, _, refs, size = parse_infer_request(step.payload)
+    assert size == 3
     with pytest.raises(CodecError):
         resolve_rows(literal, start, refs, np.ones((1, 2), F32))
-    held = np.arange(6, dtype=F32).reshape(3, 2)
-    assert np.array_equal(resolve_rows(literal, start, refs, held), held[1:2])
+    table = np.arange(6, dtype=F32).reshape(3, 2)
+    assert np.array_equal(resolve_rows(literal, start, refs, table), table[1:2])
+
+
+def test_every_row_by_reference_is_one_gather_from_the_table():
+    table = np.arange(2 * 40, dtype=F32).reshape(40, 2)
+    sources = np.random.default_rng(7).integers(0, 40, 2048)
+    req = make_infer_request(
+        table[sources], 1, 2, refs=list(enumerate(sources.tolist())), size=40
+    )
+    literal, start, _, refs, _ = parse_infer_request(req.payload)
+    assert literal.shape == (0, 2) and refs.shape == (2048, 2)
+    assert resolve_rows(literal, start, refs, table).tobytes() == table[sources].tobytes()
 
 
 def _request_with_block(block, start=4, literal_rows=1, d=2):
@@ -289,50 +308,57 @@ def _request_with_block(block, start=4, literal_rows=1, d=2):
     return encode_matrix(x) + struct.pack("<II", start, ReplyMode.TOP1) + block
 
 
-def _pairs(*pairs):
-    return struct.pack(f"<{2 * len(pairs)}I", *(v for p in pairs for v in p))
+def _block(count, *pairs, size=3):
+    """A reference block: its count and `size`, then the (position, source) pairs."""
+    return struct.pack(f"<II{2 * len(pairs)}I", count, size, *(v for p in pairs for v in p))
 
 
+# The request holds rows 4 and 5; the reader's table is the 3 rows sent before
+# it and its one literal row, index 3.
 @pytest.mark.parametrize(
     "block",
     [
         pytest.param(b"\x01\x00", id="truncated_count"),
-        pytest.param(struct.pack("<I", 1) + _pairs((5, 4))[:5], id="truncated_pair"),
-        pytest.param(struct.pack("<I", 2) + _pairs((5, 4)), id="count_above_pairs"),
-        pytest.param(struct.pack("<I", 1) + _pairs((5, 4), (6, 4)), id="count_below_pairs"),
-        pytest.param(struct.pack("<I", 0), id="count_zero"),
-        pytest.param(struct.pack("<I", 2) + _pairs((5, 4), (5, 4)), id="duplicate_position"),
-        pytest.param(struct.pack("<I", 2) + _pairs((6, 4), (5, 4)), id="descending"),
-        pytest.param(struct.pack("<I", 1) + _pairs((5, 5)), id="source_at_position"),
-        pytest.param(struct.pack("<I", 1) + _pairs((5, 6)), id="source_after_position"),
-        pytest.param(struct.pack("<I", 1) + _pairs((3, 0)), id="position_before_start"),
-        pytest.param(struct.pack("<I", 1) + _pairs((6, 0)), id="position_past_rows"),
+        pytest.param(struct.pack("<I", 1), id="missing_size"),
+        pytest.param(_block(1, (5, 0))[:13], id="truncated_pair"),
+        pytest.param(_block(2, (5, 0)), id="count_above_pairs"),
+        pytest.param(_block(1, (5, 0), (6, 0)), id="count_below_pairs"),
+        pytest.param(_block(0), id="count_zero"),
+        pytest.param(_block(2, (5, 0), (5, 0)), id="duplicate_position"),
+        pytest.param(_block(2, (5, 0), (4, 0)), id="descending"),
+        pytest.param(_block(1, (5, 4)), id="source_one_past_the_table"),
+        pytest.param(_block(1, (5, 6)), id="source_far_past_the_table"),
+        pytest.param(_block(1, (3, 0)), id="position_before_start"),
+        pytest.param(_block(1, (6, 0)), id="position_past_rows"),
     ],
 )
 def test_malformed_reference_block_is_codec_error(block):
     raw = _request_with_block(block)
     with pytest.raises(CodecError):
-        literal, start, _, refs = parse_infer_request(raw)
+        literal, start, _, refs, _ = parse_infer_request(raw)
         resolve_rows(literal, start, refs, np.ones((4, 2), F32))
     with pytest.raises(CodecError):
         decode_infer_request(raw)
 
 
 def test_well_formed_reference_block_parses():
-    raw = _request_with_block(struct.pack("<I", 1) + _pairs((5, 4)))
-    literal, start, mode, refs = parse_infer_request(raw)
-    assert literal.shape == (1, 2) and (start, mode) == (4, ReplyMode.TOP1)
-    assert refs.tolist() == [[5, 4]]
-    held = np.zeros((4, 2), F32)
-    assert resolve_rows(literal, start, refs, held).tolist() == [[1, 1], [1, 1]]
+    raw = _request_with_block(_block(1, (5, 0)))
+    literal, start, mode, refs, size = parse_infer_request(raw)
+    assert literal.shape == (1, 2) and (start, mode, size) == (4, ReplyMode.TOP1, 3)
+    assert refs.tolist() == [[5, 0]]
+    table = np.vstack([np.zeros((3, 2), F32), literal])
+    assert resolve_rows(literal, start, refs, table).tolist() == [[1, 1], [0, 0]]
+    own = _request_with_block(_block(1, (5, 3)))  # names the request's literal row
+    assert decode_infer_request(own)[0].tolist() == [[1, 1], [1, 1]]
 
 
 def test_a_large_reference_count_is_read_without_unpacking_its_pairs():
     count = 2**20
-    block = struct.pack("<I", count) + bytes(8 * count)
+    block = struct.pack("<II", count, 0) + bytes(8 * count)
     raw = _request_with_block(block, start=0, literal_rows=0)
     assert request_dims(raw) == (count, 2, count)
-    literal, _, _, refs = parse_infer_request(raw)
+    literal, _, _, refs, size = parse_infer_request(raw)
     assert refs.shape == (count, 2) and refs.base is not None  # a view, no copy
+    assert size == 0
     with pytest.raises(CodecError):
-        resolve_rows(literal, 0, refs)  # its first pair names itself
+        resolve_rows(literal, 0, refs, literal)  # every pair names position 0
